@@ -2,7 +2,9 @@
 //! seeded band layout assembled by one thread or many — bit-identical maps
 //! at every thread count, only the wall-clock changes. Plus the end-to-end
 //! cost of a defect-composed report: map sampling + composition on top of
-//! the decoder evaluation.
+//! the decoder evaluation. And the two defect layers of the request path at
+//! the served edge: drawing one map serially, and counting its usable
+//! crosspoints.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crossbar_array::DefectModel;
@@ -12,6 +14,10 @@ use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 /// Crossbar edge used by the bench: 768 × 768 crosspoints spans twelve
 /// 64-row bands, enough for the sharding to matter.
 const EDGE: usize = 768;
+
+/// Crossbar edge a defect-configured report samples: the paper's 10-bit
+/// balanced-Gray design serves 363 × 363 crosspoints.
+const SERVED_EDGE: usize = 363;
 
 fn bench_defect_map(c: &mut Criterion) {
     let model = DefectModel::new(0.02, 0.01).expect("model");
@@ -33,6 +39,26 @@ fn bench_defect_map(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// The defect layers of one report-cache miss at the served edge: the
+/// serial draw of the map and the popcount tally composition reads.
+fn bench_served_defect_map(c: &mut Criterion) {
+    let model = DefectModel::new(0.02, 0.01).expect("model");
+    let mut group = c.benchmark_group(format!("defect_map_{SERVED_EDGE}x{SERVED_EDGE}"));
+    group.sample_size(20);
+    group.bench_function("serial_sample_map", |b| {
+        b.iter(|| {
+            model
+                .sample_map(SERVED_EDGE, SERVED_EDGE, black_box(42))
+                .expect("map")
+        })
+    });
+    let map = model.sample_map(SERVED_EDGE, SERVED_EDGE, 42).expect("map");
+    group.bench_function("usable_fraction", |b| {
+        b.iter(|| black_box(&map).usable_fraction())
+    });
     group.finish();
 }
 
@@ -64,5 +90,10 @@ fn bench_defect_report(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_defect_map, bench_defect_report);
+criterion_group!(
+    benches,
+    bench_defect_map,
+    bench_served_defect_map,
+    bench_defect_report
+);
 criterion_main!(benches);

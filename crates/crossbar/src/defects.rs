@@ -34,10 +34,33 @@
 //! Every chunk consumes a fixed number of uniforms (one per nanowire or
 //! crosspoint it covers), so the map depends only on `(rates, rows, columns,
 //! seed)` — never on which thread samples which chunk, and never on the
-//! defect rates steering RNG consumption.
+//! defect rates steering RNG consumption. One uniform per crosspoint, always.
+//!
+//! # Packed layout
+//!
+//! The crosspoint-defect matrix is stored as `u64` bit rows: with
+//! `w = columns.div_ceil(64)` words per row, row `r` is words
+//! `r · w .. (r + 1) · w`, column `c` is bit `c % 64` of that row's word
+//! `c / 64`, and the padding bits past the last column are zero. A band
+//! chunk fills each word in registers, 64 draws at a time, and
+//! [`DefectMap::usable_fraction`] counts the usable crosspoints of an intact
+//! row as `Σ popcount(!defective & live_columns)` over its words.
+//!
+//! # Integer-threshold draws
+//!
+//! A draw used to be `rng.gen::<f64>() < rate`, where the uniform is
+//! `u = x · 2⁻⁵³` for `x = next_u64() >> 11`, an integer in `[0, 2⁵³)`. Both
+//! scalings by `2⁻⁵³` and `2⁵³` are exact in `f64`, so `u < rate` holds
+//! exactly when `x < rate · 2⁵³`, and for an integer `x` that is
+//! `x < ⌈rate · 2⁵³⌉ = T`. Each crosspoint therefore draws
+//! `(next_u64() >> 11) < T` with `T` computed once per chunk: the same
+//! uniforms, the same outcomes, bit-identical maps, and no float conversion
+//! in the inner loop. Rate `0` gives `T = 0` (never defective), rate `1`
+//! gives `T = 2⁵³` (always), and the smallest subnormal rate gives `T = 1`
+//! (defective only for `x = 0`, exactly as `0.0 < rate`).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CrossbarError, Result};
@@ -86,10 +109,58 @@ pub fn defect_band_count(rows: usize) -> usize {
 /// sampled dose disturbances in combined studies.
 const DEFECT_SEED_DOMAIN: u64 = 0xdefe_c7ed_0000_0001;
 
-/// The defect-map instance of the chunk-seeding contract:
+/// The generator of chunk `chunk` of the map layout — the defect-map
+/// instance of the chunk-seeding contract,
 /// `chunk_seed(seed ^ DEFECT_SEED_DOMAIN, chunk)`.
-fn defect_chunk_seed(seed: u64, chunk: u64) -> u64 {
-    chunk_seed(seed ^ DEFECT_SEED_DOMAIN, chunk)
+fn defect_chunk_rng(seed: u64, chunk: u64) -> StdRng {
+    StdRng::seed_from_u64(chunk_seed(seed ^ DEFECT_SEED_DOMAIN, chunk))
+}
+
+/// The integer threshold `T = ⌈rate · 2⁵³⌉` of the module docs: the draw
+/// `(next_u64() >> 11) < T` is exactly `gen::<f64>() < rate`. A NaN or
+/// negative rate saturates to `0` and a rate above `1` to at least `2⁵³`,
+/// matching the float compare there too.
+fn defect_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One draw of a chunk stream against a [`defect_threshold`].
+fn draw(rng: &mut StdRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
+/// Words of one packed row of a `columns`-column map.
+fn row_words(columns: usize) -> usize {
+    columns.div_ceil(64)
+}
+
+/// Number of `u64` words in the packed crosspoint matrix of a
+/// `rows × columns` defect map (`rows · ⌈columns / 64⌉`, see the module
+/// docs).
+///
+/// # Errors
+///
+/// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero, or
+/// when the matrix and its two breakage vectors together would not fit in
+/// `isize::MAX` bytes — the check that lets a sampler reject an oversize map
+/// before it allocates or draws anything.
+pub fn defect_map_words(rows: usize, columns: usize) -> Result<usize> {
+    if rows == 0 || columns == 0 {
+        return Err(CrossbarError::InvalidSpec {
+            reason: format!("defect map dimensions {rows}x{columns} must be positive"),
+        });
+    }
+    let words = rows.checked_mul(row_words(columns));
+    let bytes = words
+        .and_then(|words| words.checked_mul(8))
+        .and_then(|bytes| bytes.checked_add(rows))
+        .and_then(|bytes| bytes.checked_add(columns));
+    match (words, bytes) {
+        (Some(words), Some(bytes)) if isize::try_from(bytes).is_ok() => Ok(words),
+        _ => Err(CrossbarError::InvalidSpec {
+            reason: format!("defect map dimensions {rows}x{columns} are too large"),
+        }),
+    }
 }
 
 /// The defect rates of the crossbar, all as independent probabilities.
@@ -174,9 +245,10 @@ impl DefectModel {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero.
+    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero
+    /// or the map is too large to allocate (see [`defect_map_words`]).
     pub fn sample_map(&self, rows: usize, columns: usize, seed: u64) -> Result<DefectMap> {
-        let mut defective = Vec::with_capacity(rows.saturating_mul(columns));
+        let mut defective = Vec::with_capacity(defect_map_words(rows, columns)?);
         for band in 0..defect_band_count(rows) {
             defective.extend(self.sample_defective_band(band, rows, columns, seed));
         }
@@ -193,7 +265,7 @@ impl DefectModel {
     /// uniforms from the chunk-0 generator of the domain-tagged layout).
     #[must_use]
     pub fn sample_row_breakage(&self, rows: usize, seed: u64) -> Vec<bool> {
-        self.sample_bools(rows, self.nanowire_breakage, defect_chunk_seed(seed, 0))
+        self.sample_breakage(rows, defect_chunk_rng(seed, 0))
     }
 
     /// Samples chunk `1` of the map layout: the column-breakage vector
@@ -201,13 +273,13 @@ impl DefectModel {
     /// layout).
     #[must_use]
     pub fn sample_column_breakage(&self, columns: usize, seed: u64) -> Vec<bool> {
-        self.sample_bools(columns, self.nanowire_breakage, defect_chunk_seed(seed, 1))
+        self.sample_breakage(columns, defect_chunk_rng(seed, 1))
     }
 
-    /// Samples chunk `2 + band` of the map layout: the crosspoint-defect
-    /// flags of the rows in `band`, in row-major order (one uniform per
-    /// crosspoint, from the chunk-`2 + band` generator of the domain-tagged
-    /// layout).
+    /// Samples chunk `2 + band` of the map layout: the packed crosspoint-
+    /// defect rows of `band` (the layout of the module docs, one uniform per
+    /// crosspoint in row-major order, from the chunk-`2 + band` generator of
+    /// the domain-tagged layout).
     ///
     /// Bands past the end of the map (`band ≥ defect_band_count(rows)`) are
     /// empty.
@@ -218,20 +290,26 @@ impl DefectModel {
         rows: usize,
         columns: usize,
         seed: u64,
-    ) -> Vec<bool> {
+    ) -> Vec<u64> {
         let start = band.saturating_mul(DEFECT_BAND_ROWS);
         let band_rows = rows.saturating_sub(start).min(DEFECT_BAND_ROWS);
-        self.sample_bools(
-            band_rows * columns,
-            self.crosspoint_defect,
-            defect_chunk_seed(seed, 2 + band as u64),
-        )
+        let threshold = defect_threshold(self.crosspoint_defect);
+        let mut rng = defect_chunk_rng(seed, 2 + band as u64);
+        let mut words = Vec::new();
+        for _ in 0..band_rows {
+            for first in (0..columns).step_by(64) {
+                let bits = (columns - first).min(64);
+                words.push((0..bits).fold(0u64, |word, bit| {
+                    word | u64::from(draw(&mut rng, threshold)) << bit
+                }));
+            }
+        }
+        words
     }
 
-    fn sample_bools(&self, count: usize, rate: f64, seed: u64) -> Vec<bool> {
-        // mspt-analyze: allow(raw-seed) every caller derives `seed` via defect_chunk_seed (DEFECT_SEED_DOMAIN) just above
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..count).map(|_| rng.gen::<f64>() < rate).collect()
+    fn sample_breakage(&self, count: usize, mut rng: StdRng) -> Vec<bool> {
+        let threshold = defect_threshold(self.nanowire_breakage);
+        (0..count).map(|_| draw(&mut rng, threshold)).collect()
     }
 }
 
@@ -261,44 +339,40 @@ impl CompositeYield {
     }
 }
 
-/// A sampled defect map of one crossbar instance.
+/// A sampled defect map of one crossbar instance: the breakage vectors and
+/// the packed crosspoint-defect matrix of the module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefectMap {
     rows: usize,
     columns: usize,
     broken_rows: Vec<bool>,
     broken_columns: Vec<bool>,
-    defective: Vec<bool>,
+    defective: Vec<u64>,
 }
 
 impl DefectMap {
     /// Assembles a map from sampled chunks: the breakage vectors and the
-    /// row-major crosspoint-defect flags (the concatenated bands of the
-    /// module-level layout).
+    /// packed crosspoint-defect rows (the concatenated bands of the
+    /// module-level layout, [`defect_map_words`] words in all).
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero
-    /// or a part's length does not match the dimensions.
+    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero,
+    /// the map is too large (see [`defect_map_words`]), or a part's length
+    /// does not match the dimensions.
     pub fn from_parts(
         rows: usize,
         columns: usize,
         broken_rows: Vec<bool>,
         broken_columns: Vec<bool>,
-        defective: Vec<bool>,
+        defective: Vec<u64>,
     ) -> Result<Self> {
-        if rows == 0 || columns == 0 {
-            return Err(CrossbarError::InvalidSpec {
-                reason: format!("defect map dimensions {rows}x{columns} must be positive"),
-            });
-        }
-        if broken_rows.len() != rows
-            || broken_columns.len() != columns
-            || defective.len() != rows * columns
+        let words = defect_map_words(rows, columns)?;
+        if broken_rows.len() != rows || broken_columns.len() != columns || defective.len() != words
         {
             return Err(CrossbarError::InvalidSpec {
                 reason: format!(
-                    "defect map parts ({}, {}, {}) do not match dimensions {rows}x{columns}",
+                    "defect map parts ({}, {}, {} words) do not match dimensions {rows}x{columns}",
                     broken_rows.len(),
                     broken_columns.len(),
                     defective.len()
@@ -344,7 +418,8 @@ impl DefectMap {
         if row >= self.rows || column >= self.columns {
             return true;
         }
-        self.defective[row * self.columns + column]
+        let word = self.defective[row * row_words(self.columns) + column / 64];
+        word >> (column % 64) & 1 == 1
     }
 
     /// Whether a crosspoint is usable under this defect map (both nanowires
@@ -356,19 +431,78 @@ impl DefectMap {
             && !self.crosspoint_defective(row, column)
     }
 
+    /// Counts the usable crosspoints: over every intact row,
+    /// `Σ popcount(!defective & live_columns)` of its packed words.
+    #[must_use]
+    pub fn tally(&self) -> DefectTally {
+        let mut live = vec![0u64; row_words(self.columns)];
+        for (column, &broken) in self.broken_columns.iter().enumerate() {
+            live[column / 64] |= u64::from(!broken) << (column % 64);
+        }
+        let usable = self
+            .defective
+            .chunks_exact(live.len())
+            .zip(&self.broken_rows)
+            .filter(|(_, &broken)| !broken)
+            .map(|(row, _)| {
+                row.iter()
+                    .zip(&live)
+                    .map(|(&defective, &live)| (!defective & live).count_ones() as usize)
+                    .sum::<usize>()
+            })
+            .sum();
+        DefectTally {
+            rows: self.rows,
+            columns: self.columns,
+            usable,
+        }
+    }
+
     /// The fraction of usable crosspoints of the sampled instance.
     #[must_use]
     pub fn usable_fraction(&self) -> f64 {
-        let usable = (0..self.rows)
-            .flat_map(|r| (0..self.columns).map(move |c| (r, c)))
-            .filter(|&(r, c)| self.crosspoint_usable(r, c))
-            .count();
-        usable as f64 / (self.rows * self.columns) as f64
+        self.tally().usable_fraction()
+    }
+}
+
+/// What composition reads of a sampled [`DefectMap`]: its dimensions and
+/// its usable-crosspoint count. `Copy` and three words wide, so a memo can
+/// keep it in place of the map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DefectTally {
+    rows: usize,
+    columns: usize,
+    usable: usize,
+}
+
+impl DefectTally {
+    /// Number of row nanowires of the tallied map.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
-    /// Composes this sampled instance with the decoder yield: the sampled
+    /// Number of column nanowires of the tallied map.
+    #[must_use]
+    pub fn columns(&self) -> usize {
+        self.columns
+    }
+
+    /// Number of usable crosspoints of the tallied map.
+    #[must_use]
+    pub fn usable(&self) -> usize {
+        self.usable
+    }
+
+    /// The fraction of usable crosspoints of the tallied map.
+    #[must_use]
+    pub fn usable_fraction(&self) -> f64 {
+        self.usable as f64 / (self.rows * self.columns) as f64
+    }
+
+    /// Composes the sampled instance with the decoder yield: the sampled
     /// counterpart of [`DefectModel::compose_with`], using the instance's
-    /// [`usable_fraction`](DefectMap::usable_fraction) instead of the
+    /// [`usable_fraction`](DefectTally::usable_fraction) instead of the
     /// expected survival — what one concrete fabricated crossbar would
     /// deliver rather than the ensemble average.
     #[must_use]
@@ -388,6 +522,7 @@ mod tests {
     use crate::contact::ContactGroupLayout;
     use crate::geometry::LayoutRules;
     use crate::yield_model::AddressabilityProfile;
+    use rand::Rng;
 
     fn decoder_yield() -> CaveYield {
         let layout = ContactGroupLayout::new(20, 32, LayoutRules::paper_default()).unwrap();
@@ -448,7 +583,7 @@ mod tests {
         let decoder = decoder_yield();
         let model = DefectModel::new(0.1, 0.05).unwrap();
         let map = model.sample_map(100, 100, 42).unwrap();
-        let composite = map.compose_with(&decoder);
+        let composite = map.tally().compose_with(&decoder);
         assert_eq!(composite.defect_survival, map.usable_fraction());
         assert_eq!(composite.decoder_yield, decoder.crossbar_yield());
         assert!(
@@ -457,7 +592,7 @@ mod tests {
         );
         // An ideal map composes to exactly the decoder yield.
         let ideal = DefectModel::ideal().sample_map(10, 10, 1).unwrap();
-        let unchanged = ideal.compose_with(&decoder);
+        let unchanged = ideal.tally().compose_with(&decoder);
         assert_eq!(unchanged.defect_survival, 1.0);
         assert_eq!(unchanged.crossbar_yield, decoder.crossbar_yield());
     }
@@ -496,7 +631,7 @@ mod tests {
         assert_eq!(defect_band_count(rows), 3);
         let mut defective = Vec::new();
         // Deliberately sample the bands out of order to mimic scheduling.
-        let mut bands: Vec<(usize, Vec<bool>)> = (0..defect_band_count(rows))
+        let mut bands: Vec<(usize, Vec<u64>)> = (0..defect_band_count(rows))
             .rev()
             .map(|band| (band, model.sample_defective_band(band, rows, columns, seed)))
             .collect();
@@ -517,18 +652,129 @@ mod tests {
 
     #[test]
     fn from_parts_validates_lengths() {
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![false; 4]).is_ok()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 3], vec![false; 2], vec![false; 4]).is_err()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 1], vec![false; 4]).is_err()
-        );
-        assert!(
-            DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![false; 3]).is_err()
-        );
+        // A 2x2 map packs into one word per row.
+        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![0; 2]).is_ok());
+        assert!(DefectMap::from_parts(2, 2, vec![false; 3], vec![false; 2], vec![0; 2]).is_err());
+        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 1], vec![0; 2]).is_err());
+        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![0; 4]).is_err());
         assert!(DefectMap::from_parts(0, 2, vec![], vec![false; 2], vec![]).is_err());
+        assert_eq!(defect_map_words(3, 65).unwrap(), 6);
+    }
+
+    #[test]
+    fn oversize_maps_are_rejected_without_allocating() {
+        for (rows, columns) in [
+            (usize::MAX / 2, 4),
+            (4, usize::MAX / 2),
+            (usize::MAX, usize::MAX),
+        ] {
+            assert!(
+                matches!(
+                    DefectModel::ideal().sample_map(rows, columns, 1),
+                    Err(CrossbarError::InvalidSpec { .. })
+                ),
+                "{rows}x{columns}"
+            );
+            assert!(DefectMap::from_parts(rows, columns, vec![], vec![], vec![]).is_err());
+        }
+    }
+
+    #[test]
+    fn threshold_draws_equal_float_draws() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let rates = [
+            0.0,
+            1.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            scale,
+            0.01,
+            0.025,
+            0.05,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for rate in rates {
+            let threshold = defect_threshold(rate);
+            // The compare flips exactly between x = T - 1 and x = T.
+            let edges = [
+                0,
+                1,
+                threshold.saturating_sub(1),
+                threshold,
+                threshold + 1,
+                (1 << 53) - 1,
+            ];
+            for x in edges.into_iter().filter(|&x| x < 1 << 53) {
+                assert_eq!(
+                    x < threshold,
+                    (x as f64 * scale) < rate,
+                    "rate {rate}, x {x}"
+                );
+            }
+            // And the two draws agree on a whole stream.
+            let mut packed = defect_chunk_rng(7, 3);
+            let mut float = defect_chunk_rng(7, 3);
+            for _ in 0..4_096 {
+                assert_eq!(draw(&mut packed, threshold), float.gen::<f64>() < rate);
+            }
+        }
+        assert_eq!(defect_threshold(0.0), 0);
+        assert_eq!(defect_threshold(1.0), 1 << 53);
+        assert_eq!(defect_threshold(f64::from_bits(1)), 1);
+    }
+
+    #[test]
+    fn packed_rows_handle_word_edges() {
+        let edges = [1usize, 63, 64, 65, 363];
+        for columns in edges {
+            let rows = 70;
+            let clean = DefectModel::ideal().sample_map(rows, columns, 3).unwrap();
+            assert_eq!(clean.usable_fraction(), 1.0, "{columns} columns");
+            assert_eq!(clean.tally().usable(), rows * columns);
+
+            let stuck = DefectModel::new(0.0, 1.0).unwrap();
+            let map = stuck.sample_map(rows, columns, 3).unwrap();
+            assert_eq!(map.usable_fraction(), 0.0, "{columns} columns");
+            assert!(map.crosspoint_defective(rows - 1, columns - 1));
+
+            let broken = DefectModel::new(1.0, 0.0).unwrap();
+            let map = broken.sample_map(rows, columns, 3).unwrap();
+            assert!((0..columns).all(|column| map.column_broken(column)));
+            assert_eq!(map.usable_fraction(), 0.0, "{columns} columns");
+
+            // All columns broken but every row intact: the padding bits of
+            // the live-column mask must not count as usable crosspoints.
+            let map = DefectMap::from_parts(
+                rows,
+                columns,
+                vec![false; rows],
+                vec![true; columns],
+                vec![0; defect_map_words(rows, columns).unwrap()],
+            )
+            .unwrap();
+            assert_eq!(map.usable_fraction(), 0.0, "{columns} columns");
+
+            for map in [clean, map] {
+                assert!(map.crosspoint_defective(rows, 0));
+                assert!(map.crosspoint_defective(0, columns));
+                assert!(map.row_broken(rows));
+                assert!(map.column_broken(columns));
+                assert!(!map.crosspoint_usable(0, columns));
+            }
+        }
+    }
+
+    #[test]
+    fn packed_lookups_agree_with_the_popcount_tally() {
+        let model = DefectModel::new(0.05, 0.3).unwrap();
+        for columns in [1usize, 63, 64, 65, 130] {
+            let map = model.sample_map(67, columns, 11).unwrap();
+            let counted = (0..map.rows())
+                .flat_map(|row| (0..columns).map(move |column| (row, column)))
+                .filter(|&(row, column)| map.crosspoint_usable(row, column))
+                .count();
+            assert_eq!(map.tally().usable(), counted, "{columns} columns");
+        }
     }
 }

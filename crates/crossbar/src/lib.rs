@@ -75,7 +75,8 @@ pub use array::{CrossbarSpec, PAPER_RAW_BITS};
 pub use cave::{Cave, HalfCave};
 pub use contact::{ContactGroupLayout, PositionKind};
 pub use defects::{
-    chunk_seed, defect_band_count, CompositeYield, DefectMap, DefectModel, DEFECT_BAND_ROWS,
+    chunk_seed, defect_band_count, defect_map_words, CompositeYield, DefectMap, DefectModel,
+    DefectTally, DEFECT_BAND_ROWS,
 };
 pub use error::{CrossbarError, Result};
 pub use geometry::LayoutRules;

@@ -43,7 +43,9 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use crossbar_array::{defect_band_count, AddressabilityProfile, DefectMap, DefectModel};
+use crossbar_array::{
+    defect_band_count, defect_map_words, AddressabilityProfile, DefectMap, DefectModel,
+};
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -274,10 +276,11 @@ impl ExecutionEngine {
     /// both assemble the same independently seeded chunks.
     ///
     /// A report-cache miss still runs through the engine's
-    /// [`StageCache`]: the defect map and every pipeline stage memoize
-    /// independently, so a configuration that differs from a cached one in
-    /// only some fields (a sweep point) recomputes only the stages whose
-    /// read set changed.
+    /// [`StageCache`]: the defect map (as its
+    /// [`DefectTally`](crossbar_array::DefectTally)) and every pipeline
+    /// stage memoize independently, so a configuration that differs from a
+    /// cached one in only some fields (a sweep point) recomputes only the
+    /// stages whose read set changed.
     ///
     /// # Errors
     ///
@@ -285,12 +288,13 @@ impl ExecutionEngine {
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
         self.cache.get_or_compute(config, || {
             let platform = SimulationPlatform::new(config.clone());
-            let map = self.stages.defect_map(config, || {
-                platform.sample_defect_map_with(|model, rows, columns, seed| {
+            let tally = self.stages.defect_map(config, || {
+                let map = platform.sample_defect_map_with(|model, rows, columns, seed| {
                     self.sample_defect_map(model, rows, columns, seed)
-                })
+                })?;
+                Ok(map.as_ref().map(DefectMap::tally))
             })?;
-            platform.evaluate_with_stage_cache(&self.stages, map.as_ref())
+            platform.evaluate_with_stage_cache(&self.stages, tally)
         })
     }
 
@@ -562,12 +566,13 @@ impl ExecutionEngine {
     /// the same independently seeded chunks (see the layout documented on
     /// `crossbar_array::defects`): the breakage vectors are cheap and drawn
     /// inline, the `O(rows · columns)` crosspoint bands fan out through the
-    /// engine and are concatenated in band order.
+    /// engine and their packed rows are concatenated in band order.
     ///
     /// # Errors
     ///
     /// Returns the crossbar layer's `InvalidSpec` when either dimension is
-    /// zero.
+    /// zero or the map is too large to allocate (checked before any band is
+    /// drawn).
     pub fn sample_defect_map(
         &self,
         model: &DefectModel,
@@ -575,10 +580,14 @@ impl ExecutionEngine {
         columns: usize,
         seed: u64,
     ) -> Result<DefectMap> {
+        let words = defect_map_words(rows, columns)?;
         let bands = self.run_indexed(defect_band_count(rows), |band| {
             Ok(model.sample_defective_band(band, rows, columns, seed))
         })?;
-        let defective: Vec<bool> = bands.into_iter().flatten().collect();
+        let mut defective = Vec::with_capacity(words);
+        for band in bands {
+            defective.extend(band);
+        }
         Ok(DefectMap::from_parts(
             rows,
             columns,

@@ -5,7 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use crossbar_array::{
-    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap, HalfCave,
+    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap, DefectTally,
+    HalfCave,
 };
 use mspt_fabrication::{FabricationCost, PatternMatrix, VariabilityMatrix};
 use nanowire_codes::{CodeSequence, CodeSpec};
@@ -261,7 +262,7 @@ impl SimulationPlatform {
     /// dimensions do not match the configuration, or propagates pipeline
     /// errors.
     pub fn evaluate_with_defect_map(&self, map: Option<&DefectMap>) -> Result<PlatformReport> {
-        self.evaluate_with_stage_cache(&StageCache::disabled(), map)
+        self.evaluate_with_stage_cache(&StageCache::disabled(), map.map(DefectMap::tally))
     }
 
     /// The memoized variability stage: the variability matrix and the
@@ -299,6 +300,9 @@ impl SimulationPlatform {
     /// miss and the evaluation is bit-identical to the pre-stage monolith —
     /// the configuration behind [`SimulationPlatform::evaluate`].
     ///
+    /// The sampled map arrives as its [`DefectTally`], all that composition
+    /// reads of it (see [`DefectMap::tally`]).
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the map's presence or
@@ -308,11 +312,11 @@ impl SimulationPlatform {
     pub fn evaluate_with_stage_cache(
         &self,
         stages: &StageCache,
-        map: Option<&DefectMap>,
+        tally: Option<DefectTally>,
     ) -> Result<PlatformReport> {
         let spec = self.config.crossbar_spec()?;
         let edge = spec.nanowires_per_layer();
-        check_defect_map(self.config.defects(), map, edge)?;
+        check_defect_map(self.config.defects(), tally, edge)?;
         stages.composite(&self.config, || {
             let code = self.config.code();
             let staged = self.variability_stage(stages)?;
@@ -335,7 +339,7 @@ impl SimulationPlatform {
             let (defect_survival, composite_yield, composite_effective_bits) =
                 compose_defect_quantities(
                     self.config.defects(),
-                    map,
+                    tally,
                     edge,
                     &yield_,
                     effective_bits,
@@ -363,20 +367,21 @@ impl SimulationPlatform {
     }
 }
 
-/// Presence and dimension checks of an externally supplied defect map — the
-/// three error cases of [`SimulationPlatform::evaluate_with_defect_map`],
-/// factored out so the staged path rejects a mismatched map *before* any
-/// memo lookup (a composite cache hit must never mask one).
-fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -> Result<()> {
-    match (defects, map) {
+/// Presence and dimension checks of an externally supplied defect map, read
+/// from its tally — the three error cases of
+/// [`SimulationPlatform::evaluate_with_defect_map`], factored out so the
+/// staged path rejects a mismatched map *before* any memo lookup (a
+/// composite cache hit must never mask one).
+fn check_defect_map(defects: DefectKind, tally: Option<DefectTally>, edge: usize) -> Result<()> {
+    match (defects, tally) {
         (DefectKind::None, None) => Ok(()),
-        (DefectKind::Sampled(_), Some(map)) => {
-            if map.rows() != edge || map.columns() != edge {
+        (DefectKind::Sampled(_), Some(tally)) => {
+            if tally.rows() != edge || tally.columns() != edge {
                 return Err(SimError::InvalidConfig {
                     reason: format!(
                         "defect map is {}x{} but the crossbar is {edge}x{edge}",
-                        map.rows(),
-                        map.columns()
+                        tally.rows(),
+                        tally.columns()
                     ),
                 });
             }
@@ -397,17 +402,17 @@ fn check_defect_map(defects: DefectKind, map: Option<&DefectMap>, edge: usize) -
 /// multiplication by `1.0` that could perturb them).
 fn compose_defect_quantities(
     defects: DefectKind,
-    map: Option<&DefectMap>,
+    tally: Option<DefectTally>,
     edge: usize,
     yield_: &CaveYield,
     effective_bits: f64,
     raw_crosspoints: u64,
 ) -> Result<(f64, f64, f64)> {
-    check_defect_map(defects, map, edge)?;
-    Ok(match map {
+    check_defect_map(defects, tally, edge)?;
+    Ok(match tally {
         None => (1.0, yield_.crossbar_yield(), effective_bits),
-        Some(map) => {
-            let composite = map.compose_with(yield_);
+        Some(tally) => {
+            let composite = tally.compose_with(yield_);
             (
                 composite.defect_survival,
                 composite.crossbar_yield,

@@ -36,7 +36,7 @@
 //! and counters.
 
 use crossbar_array::{
-    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectMap,
+    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectTally,
 };
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
@@ -138,8 +138,8 @@ pub enum Stage {
     CaveYield,
     /// The crossbar area model (raw and effective bit area inputs).
     CrossbarArea,
-    /// The sampled fabrication-defect map (`None` for a defect-free
-    /// configuration).
+    /// The sampled fabrication-defect map, memoized as its
+    /// [`DefectTally`] (`None` for a defect-free configuration).
     DefectMap,
     /// The fully composed [`PlatformReport`] — everything the report
     /// carries except Monte-Carlo results.
@@ -456,7 +456,7 @@ pub struct StageCache {
     contact_layout: MemoCache<ContactGroupLayout>,
     cave_yield: MemoCache<CaveYield>,
     crossbar_area: MemoCache<CrossbarArea>,
-    defect_map: MemoCache<Option<DefectMap>>,
+    defect_map: MemoCache<Option<DefectTally>>,
     composite: MemoCache<PlatformReport>,
     monte_carlo: MemoCache<MonteCarloOutcome>,
 }
@@ -585,9 +585,16 @@ impl StageCache {
             .get_or_compute(Stage::CrossbarArea.fingerprint(&key), &key, compute)
     }
 
-    pub(crate) fn defect_map<F>(&self, config: &SimConfig, compute: F) -> Result<Option<DefectMap>>
+    /// The defect-map slot keeps only what [`Stage::Composite`] reads of a
+    /// sampled map, its [`DefectTally`], so a hit copies three words
+    /// instead of cloning the map.
+    pub(crate) fn defect_map<F>(
+        &self,
+        config: &SimConfig,
+        compute: F,
+    ) -> Result<Option<DefectTally>>
     where
-        F: FnOnce() -> Result<Option<DefectMap>>,
+        F: FnOnce() -> Result<Option<DefectTally>>,
     {
         let key = defect_map_stage_key(config);
         self.defect_map
