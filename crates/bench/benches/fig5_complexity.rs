@@ -2,7 +2,7 @@
 //! Gray codes, binary/ternary/quaternary logic, N = 10).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use decoder_sim::complexity_sweep;
+use decoder_sim::ExecutionEngine;
 use mspt_bench::bench_base_config;
 use nanowire_codes::{CodeKind, LogicLevel};
 
@@ -13,18 +13,19 @@ fn bench_fig5(c: &mut Criterion) {
 
     group.bench_function("tc_gc_binary_to_quaternary_n10", |b| {
         b.iter(|| {
-            complexity_sweep(
-                &base,
-                &[CodeKind::Tree, CodeKind::Gray],
-                &[
-                    LogicLevel::BINARY,
-                    LogicLevel::TERNARY,
-                    LogicLevel::QUATERNARY,
-                ],
-                8,
-                10,
-            )
-            .expect("fig5 sweep")
+            ExecutionEngine::serial()
+                .complexity_sweep(
+                    &base,
+                    &[CodeKind::Tree, CodeKind::Gray],
+                    &[
+                        LogicLevel::BINARY,
+                        LogicLevel::TERNARY,
+                        LogicLevel::QUATERNARY,
+                    ],
+                    8,
+                    10,
+                )
+                .expect("fig5 sweep")
         })
     });
 
@@ -35,7 +36,9 @@ fn bench_fig5(c: &mut Criterion) {
     ] {
         group.bench_function(format!("single_point_gc_{radix}"), |b| {
             b.iter(|| {
-                complexity_sweep(&base, &[CodeKind::Gray], &[radix], 8, 10).expect("fig5 point")
+                ExecutionEngine::serial()
+                    .complexity_sweep(&base, &[CodeKind::Gray], &[radix], 8, 10)
+                    .expect("fig5 point")
             })
         });
     }

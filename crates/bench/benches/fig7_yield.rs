@@ -2,7 +2,7 @@
 //! (M = 6, 8, 10) and HC/AHC (M = 4, 6, 8) on the 16 kB platform.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use decoder_sim::yield_sweep;
+use decoder_sim::ExecutionEngine;
 use mspt_bench::bench_base_config;
 use nanowire_codes::{CodeKind, LogicLevel};
 
@@ -18,7 +18,11 @@ fn bench_fig7(c: &mut Criterion) {
         (CodeKind::ArrangedHot, vec![4, 6, 8]),
     ] {
         group.bench_function(format!("{}_series", kind.label()), |b| {
-            b.iter(|| yield_sweep(&base, kind, LogicLevel::BINARY, &lengths).expect("fig7 series"))
+            b.iter(|| {
+                ExecutionEngine::serial()
+                    .yield_sweep(&base, kind, LogicLevel::BINARY, &lengths)
+                    .expect("fig7 series")
+            })
         });
     }
     group.finish();

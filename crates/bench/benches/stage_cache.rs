@@ -74,17 +74,17 @@ fn bench_stage_cache(c: &mut Criterion) {
     });
 
     // A disturbance change through the unified entry point: no report stage
-    // reads the disturbance, so a warm engine serves the re-evaluation
-    // entirely from stage hits — this should sit near the hit floor, far
-    // below the cold pipeline.
+    // reads the disturbance, so a warm engine serves the report with one
+    // composite hit — this should sit near the hit floor, far below the
+    // cold pipeline.
     group.bench_function("disturbance_change_partial_reeval", |b| {
         let engine = warm_engine(&base);
         let mut step = 0u64;
         b.iter(|| {
             step += 1;
             // A fresh shared fraction each iteration keeps every sample a
-            // genuine re-evaluation (a report-cache miss) instead of
-            // converging to an all-hit loop.
+            // new configuration (the full-config identity differs) instead
+            // of repeating one request.
             #[allow(clippy::cast_precision_loss)]
             let kind = DisturbanceKind::Correlated {
                 shared_fraction: (step % 97) as f64 / 97.0,

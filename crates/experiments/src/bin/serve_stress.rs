@@ -38,7 +38,7 @@
 //! | `MSPT_NET_SHED` | shed policy (`reply` / `close`) | reply |
 //! | `MSPT_NET_DRAIN_MS` | shutdown drain grace (ms) | 250 |
 //! | `MSPT_ENGINE_THREADS` | engine worker threads | available parallelism |
-//! | `MSPT_CACHE_CAPACITY` | report-cache bound | 4096 |
+//! | `MSPT_CACHE_CAPACITY` | entry bound of each stage memo slot, the report slot included | 4096 |
 //! | `MSPT_CACHE_PATH` | warm-cache snapshot to load/save | unset |
 //! | `MSPT_CACHE_FORMAT` | snapshot encoding saved: `binary` or `json` | binary |
 //! | `MSPT_CACHE_MAX_AGE_SECS` | drop binary snapshot rows older than this at load (0 = unlimited) | 0 |
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use decoder_sim::codec::JsonValue;
 use decoder_sim::{
-    CacheConfig, CacheStats, DisturbanceKind, EngineConfig, ExecutionEngine, MonteCarloConfig,
+    CacheConfig, CacheStats, DefectKind, EngineConfig, ExecutionEngine, MonteCarloConfig,
     ReportCache, SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
 };
 use mspt_serve::{
@@ -205,21 +205,18 @@ impl SnapshotSizes {
 }
 
 /// Fills a dedicated cache with [`SNAPSHOT_ENTRIES`] distinct
-/// configurations (one evaluated report, re-keyed under a sweep of
-/// correlated-disturbance fractions — the snapshot encodes the full
-/// config/report pair per row either way) and renders it in both snapshot
-/// formats.
+/// configurations (one evaluated report, re-keyed under a sweep of defect
+/// seeds — the snapshot encodes the full config/report pair per row either
+/// way) and renders it in both snapshot formats.
 fn snapshot_sizes(mix: &[ReportRequest]) -> Result<SnapshotSizes, Box<dyn std::error::Error>> {
     let base = &mix[0];
     let report = SimulationPlatform::new(base.effective_config()).evaluate()?;
     let cache = ReportCache::new(CacheConfig::unsharded(SNAPSHOT_ENTRIES));
     for index in 0..SNAPSHOT_ENTRIES {
-        let config = base
-            .config
-            .clone()
-            .with_disturbance(DisturbanceKind::Correlated {
-                shared_fraction: index as f64 / (2 * SNAPSHOT_ENTRIES) as f64,
-            });
+        let config =
+            base.config
+                .clone()
+                .with_defects(DefectKind::sampled(0.02, 0.01, index as u64)?);
         let row = report.clone();
         cache.get_or_compute(&config, || Ok(row))?;
     }

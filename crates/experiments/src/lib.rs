@@ -425,7 +425,7 @@ pub fn stress_mix() -> Result<Vec<mspt_serve::ReportRequest>> {
     ] {
         for &length in lengths {
             let code = CodeSpec::new(kind, LogicLevel::BINARY, length)?;
-            mix.push(ReportRequest::new(base.clone().with_code(code)));
+            mix.push(ReportRequest::builder(base.clone().with_code(code)).build());
         }
     }
     let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;

@@ -242,7 +242,7 @@ mod tests {
         assert_eq!(request_from_bin(&bytes).unwrap(), typed);
 
         // Overrides are genuinely optional sections, not nulls.
-        let bare = ReportRequest::new(typed.config.clone());
+        let bare = ReportRequest::builder(typed.config.clone()).build();
         let bare_bytes = request_to_bin(&bare);
         assert!(bare_bytes.len() < bytes.len());
         assert_eq!(request_from_bin(&bare_bytes).unwrap(), bare);
@@ -280,7 +280,10 @@ mod tests {
                 // The only decodable proper prefix ends exactly between the
                 // config and disturbance sections, and decodes as the
                 // override-free request — never as a corrupted one.
-                assert_eq!(decoded, ReportRequest::new(typed.config.clone()));
+                assert_eq!(
+                    decoded,
+                    ReportRequest::builder(typed.config.clone()).build()
+                );
                 boundary_decodes += 1;
             }
         }

@@ -9,8 +9,8 @@
 //! both travel as JSON through the std-only codec in `decoder_sim::codec`
 //! (the vendored serde stand-in has no serializers, and crates.io is
 //! unreachable in this build environment). Every server clone shares one
-//! [`ExecutionEngine`], so every client shares one warm
-//! [`ReportCache`](decoder_sim::ReportCache):
+//! [`ExecutionEngine`], so every client shares one warm stage memo, whose
+//! `Composite` slot is the [`ReportCache`](decoder_sim::ReportCache):
 //!
 //! * repeated configurations are cache **hits** — the figure-sweep workload
 //!   (and spectrum-style parameter sweeps over the same points) evaluates
@@ -62,7 +62,7 @@
 //!     chunk_size: 256,
 //! })));
 //! let code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10)?;
-//! let request = ReportRequest::new(SimConfig::paper_defaults(code)?);
+//! let request = ReportRequest::builder(SimConfig::paper_defaults(code)?).build();
 //!
 //! // Typed path.
 //! let report = server.serve(&request)?;
@@ -192,9 +192,11 @@ pub(crate) fn env_usize(name: &str, default: usize) -> usize {
 /// The overrides exist for clients that sweep disturbance models or defect
 /// rates over one platform configuration; they are applied onto the
 /// configuration **before** the engine sees the request, so the cache key
-/// always carries the effective disturbance and defect kinds — a Gaussian
-/// and a Laplace request (or a defect-free and a defective request) with
-/// the same platform parameters never alias in the cache or on disk.
+/// always carries the effective defect kind — a defect-free and a
+/// defective request with the same platform parameters never alias in the
+/// cache or on disk. The report does not depend on the disturbance kind
+/// (only Monte-Carlo estimates do), so a disturbance-only override is
+/// served from the same entry as its base configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRequest {
     /// The configuration to evaluate.
@@ -206,9 +208,9 @@ pub struct ReportRequest {
 }
 
 impl ReportRequest {
-    /// Starts building a request for a configuration. The builder is the
-    /// canonical constructor; [`ReportRequest::new`] and the
-    /// `with_*` constructors are thin shims over it.
+    /// Starts building a request for a configuration — the one
+    /// constructor; `.build()` right away is a request for the
+    /// configuration as-is.
     ///
     /// ```
     /// use decoder_sim::{DisturbanceKind, SimConfig};
@@ -231,27 +233,6 @@ impl ReportRequest {
             disturbance: None,
             defects: None,
         }
-    }
-
-    /// A request for a configuration as-is.
-    #[must_use]
-    pub fn new(config: SimConfig) -> Self {
-        ReportRequest::builder(config).build()
-    }
-
-    /// A request overriding the configuration's disturbance kind.
-    #[must_use]
-    pub fn with_disturbance(config: SimConfig, disturbance: DisturbanceKind) -> Self {
-        ReportRequest::builder(config)
-            .disturbance(disturbance)
-            .build()
-    }
-
-    /// A request overriding the configuration's fabrication-defect
-    /// selection.
-    #[must_use]
-    pub fn with_defects(config: SimConfig, defects: DefectKind) -> Self {
-        ReportRequest::builder(config).defects(defects).build()
     }
 
     /// The configuration the engine actually evaluates: the request's
@@ -426,7 +407,8 @@ impl ReportServer {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// The shared report cache's counters.
+    /// The shared report cache's counters: the `Composite` row of
+    /// [`ReportServer::stage_stats`].
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.engine.cache_stats()
@@ -434,7 +416,7 @@ impl ReportServer {
 
     /// Per-stage hit/miss/eviction counters of the engine's stage cache, in
     /// [`decoder_sim::Stage::ALL`] order — the rows the `serve_stress`
-    /// harness prints and emits next to the aggregate report-cache counters.
+    /// harness prints and emits next to the report counters.
     #[must_use]
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.engine.stage_stats()
@@ -677,7 +659,7 @@ mod tests {
 
     fn request(kind: CodeKind, length: usize) -> ReportRequest {
         let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
-        ReportRequest::new(SimConfig::paper_defaults(code).unwrap())
+        ReportRequest::builder(SimConfig::paper_defaults(code).unwrap()).build()
     }
 
     fn server(threads: usize) -> ReportServer {
@@ -689,10 +671,9 @@ mod tests {
 
     #[test]
     fn requests_round_trip_the_wire_format() {
-        let typed = ReportRequest::with_disturbance(
-            request(CodeKind::Gray, 8).config,
-            DisturbanceKind::Laplace,
-        );
+        let typed = ReportRequest::builder(request(CodeKind::Gray, 8).config)
+            .disturbance(DisturbanceKind::Laplace)
+            .build();
         let decoded = ReportRequest::from_json_str(&typed.to_json_string()).unwrap();
         assert_eq!(decoded, typed);
         assert_eq!(
@@ -700,10 +681,9 @@ mod tests {
             DisturbanceKind::Laplace
         );
 
-        let defective = ReportRequest::with_defects(
-            request(CodeKind::Gray, 8).config,
-            DefectKind::sampled(0.02, 0.01, 7).unwrap(),
-        );
+        let defective = ReportRequest::builder(request(CodeKind::Gray, 8).config)
+            .defects(DefectKind::sampled(0.02, 0.01, 7).unwrap())
+            .build();
         let decoded = ReportRequest::from_json_str(&defective.to_json_string()).unwrap();
         assert_eq!(decoded, defective);
         assert_eq!(
@@ -748,26 +728,39 @@ mod tests {
     }
 
     #[test]
-    fn disturbance_override_never_aliases_in_the_cache() {
+    fn disturbance_override_hits_the_base_entry() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let laplace =
-            ReportRequest::with_disturbance(base.config.clone(), DisturbanceKind::Laplace);
-        server.serve(&base).unwrap();
-        server.serve(&laplace).unwrap();
-        // Two distinct cache entries: the disturbance kind is part of the key.
-        assert_eq!(server.engine().cached_report_count(), 2);
-        assert_eq!(server.stats().misses, 2);
+        let laplace = ReportRequest::builder(base.config.clone())
+            .disturbance(DisturbanceKind::Laplace)
+            .build();
+        let gaussian_reply = server.serve(&base).unwrap();
+        let laplace_reply = server.serve(&laplace).unwrap();
+        // No report field reads the disturbance kind, so the override is
+        // served from the base entry: one entry, one miss, one hit.
+        assert_eq!(server.engine().cached_report_count(), 1);
+        let stats = server.stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 1));
+        // And both replies are bit-equal to a fresh serial evaluation of
+        // their own effective configuration.
+        for (request, reply) in [(&base, gaussian_reply), (&laplace, laplace_reply)] {
+            let fresh = SimulationPlatform::new(request.effective_config())
+                .evaluate()
+                .unwrap();
+            assert_eq!(
+                decoder_sim::bincodec::report_to_bin(&reply),
+                decoder_sim::bincodec::report_to_bin(&fresh)
+            );
+        }
     }
 
     #[test]
     fn defect_override_never_aliases_in_the_cache() {
         let server = server(2);
         let base = request(CodeKind::BalancedGray, 10);
-        let defective = ReportRequest::with_defects(
-            base.config.clone(),
-            DefectKind::sampled(0.05, 0.02, 2_009).unwrap(),
-        );
+        let defective = ReportRequest::builder(base.config.clone())
+            .defects(DefectKind::sampled(0.05, 0.02, 2_009).unwrap())
+            .build();
         let clean = server.serve(&base).unwrap();
         let composed = server.serve(&defective).unwrap();
         // Two distinct cache entries: the defect selection is part of the key.

@@ -153,7 +153,9 @@ fn env_ms(name: &str, default: u64) -> u64 {
     crate::env_u64(name, default)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single `prefix ‖ payload` buffer,
+/// so the peer never sees the prefix arrive without its payload because
+/// the writer was descheduled between two writes.
 ///
 /// # Errors
 ///
@@ -169,8 +171,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
                 format!("frame of {} bytes exceeds MAX_FRAME_BYTES", payload.len()),
             )
         })?;
-    writer.write_all(&length.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&length.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -440,8 +444,10 @@ fn accept_loop(
             Ok((stream, _)) => {
                 stream.set_nodelay(true).ok();
                 if let Err(rejected) = queue.try_push(stream) {
-                    shed_connection(rejected, shed_policy);
+                    // Counted before the reply goes out, so a client that
+                    // has read the typed shed and its EOF sees the count.
                     counters.shed.fetch_add(1, Ordering::Relaxed);
+                    shed_connection(rejected, shed_policy);
                 }
                 // Incremented after the queue/shed decision so observers
                 // that wait on this counter know the dispatch outcome of
@@ -751,6 +757,34 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"{\"a\":1}");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_sent_in_one_write() {
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, b"{\"a\":1}").unwrap();
+        assert_eq!(writer.writes, 1, "prefix and payload went out separately");
+        let mut cursor = io::Cursor::new(writer.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"{\"a\":1}");
     }
 
     #[test]

@@ -30,19 +30,21 @@ fn paper_mix() -> Vec<ReportRequest> {
     ] {
         for &length in lengths {
             let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
-            mix.push(ReportRequest::new(SimConfig::paper_defaults(code).unwrap()));
+            mix.push(ReportRequest::builder(SimConfig::paper_defaults(code).unwrap()).build());
         }
     }
     let laplace_code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
-    mix.push(ReportRequest::with_disturbance(
-        SimConfig::paper_defaults(laplace_code).unwrap(),
-        DisturbanceKind::Laplace,
-    ));
+    mix.push(
+        ReportRequest::builder(SimConfig::paper_defaults(laplace_code).unwrap())
+            .disturbance(DisturbanceKind::Laplace)
+            .build(),
+    );
     let defect_code = CodeSpec::new(CodeKind::BalancedGray, LogicLevel::BINARY, 10).unwrap();
-    mix.push(ReportRequest::with_defects(
-        SimConfig::paper_defaults(defect_code).unwrap(),
-        DefectKind::sampled(0.02, 0.01, 2_009).unwrap(),
-    ));
+    mix.push(
+        ReportRequest::builder(SimConfig::paper_defaults(defect_code).unwrap())
+            .defects(DefectKind::sampled(0.02, 0.01, 2_009).unwrap())
+            .build(),
+    );
     mix
 }
 
@@ -119,15 +121,20 @@ fn a_persisted_cache_restarts_warm_in_a_fresh_engine() {
     }
     let path =
         std::env::temp_dir().join(format!("mspt-serve-warm-cache-{}.json", std::process::id()));
+    // The Laplace variant shares its base configuration's report entry (no
+    // report field reads the disturbance kind), so the mix holds one entry
+    // fewer than it has requests.
+    let distinct = first.engine().cached_report_count();
+    assert_eq!(distinct, mix.len() - 1);
     let saved = first.engine().save_cache(&path).unwrap();
-    assert_eq!(saved, mix.len());
+    assert_eq!(saved, distinct);
 
     // A fresh engine loads the snapshot and serves the whole mix without a
     // single evaluation — and bit-identically to the original server.
     let second = ReportServer::new(engine(2, CacheConfig::default()));
     let loaded = second.engine().load_cache(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, mix.len());
+    assert_eq!(loaded, distinct);
     for request in &mix {
         assert_eq!(
             second.serve(request).unwrap(),

@@ -27,8 +27,8 @@ fn mix() -> Vec<ReportRequest> {
     let tree = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 6).unwrap();
     let hot = CodeSpec::new(CodeKind::Hot, LogicLevel::BINARY, 4).unwrap();
     vec![
-        ReportRequest::new(SimConfig::paper_defaults(tree).unwrap()),
-        ReportRequest::new(SimConfig::paper_defaults(hot).unwrap()),
+        ReportRequest::builder(SimConfig::paper_defaults(tree).unwrap()).build(),
+        ReportRequest::builder(SimConfig::paper_defaults(hot).unwrap()).build(),
         ReportRequest::builder(SimConfig::paper_defaults(tree).unwrap())
             .disturbance(DisturbanceKind::Laplace)
             .build(),

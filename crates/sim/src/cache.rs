@@ -1,19 +1,19 @@
-//! The sharded, bounded, single-flight report cache behind the execution
-//! engine and the serve layer.
+//! The sharded, bounded, single-flight memo table behind the stage graph,
+//! and the report cache that is its `Composite` slot.
 //!
 //! The sharding / LRU / single-flight machinery lives in the generic
-//! [`MemoCache`]; [`ReportCache`] is the (`SimConfig` → `PlatformReport`)
-//! instantiation that adds config fingerprinting and snapshot persistence,
-//! and the per-stage memo slots of [`crate::stage::StageCache`] are further
-//! instantiations of the same table — one set of counters, bounds and
-//! single-flight semantics for every memoized quantity in the workspace.
+//! [`MemoCache`]; every slot of [`crate::stage::StageCache`] is an
+//! instantiation of it — one set of counters, bounds and single-flight
+//! semantics for every memoized quantity in the workspace. [`ReportCache`]
+//! is the slot for [`Stage::Composite`](crate::Stage::Composite), the
+//! fully composed [`PlatformReport`]; it adds snapshot persistence on top.
 //!
 //! # Design
 //!
 //! * **Sharding.** Entries are spread over [`CacheConfig::shards`] independent
-//!   `Mutex`-guarded shards, selected by a fingerprint of the configuration's
-//!   canonical serialized form, so concurrent clients touching different
-//!   configurations rarely contend on one lock.
+//!   `Mutex`-guarded shards, selected by the key's fingerprint, so
+//!   concurrent clients touching different configurations rarely contend on
+//!   one lock.
 //! * **Bounded LRU.** Each shard holds at most `ceil(capacity / shards)`
 //!   entries and evicts its least-recently-used entry beyond that (recency is
 //!   a global atomic tick, so LRU order is exact within a shard; with one
@@ -43,7 +43,7 @@
 //!
 //! * **Binary** (the default): a [`crate::bincodec`] document
 //!   ([`bincodec::DOC_SNAPSHOT`]) holding a header section and one section
-//!   per row — a write timestamp, the configuration fingerprint, and the
+//!   per row — a write timestamp, the entry's memo fingerprint, and the
 //!   nested binary config/report documents. Saving over an existing binary
 //!   snapshot **appends** only the rows whose fingerprint the file does not
 //!   already hold (an O(new) write instead of a full rewrite), falling back
@@ -61,15 +61,18 @@
 //!
 //! # Cache-key identity
 //!
-//! Keys fingerprint the **canonical serialized configuration** — every field
-//! of [`SimConfig`], including its [`DisturbanceKind`](crate::DisturbanceKind)
-//! and its [`DefectKind`](crate::DefectKind) — mixed with a cache-domain tag
-//! through the workspace-wide [`chunk_seed`] stream-splitting primitive. A
-//! Gaussian and a Laplace run (or a defect-free and a defective run) with
-//! the same platform parameters therefore never alias, in memory or on
-//! disk; equality of the full `SimConfig` is re-checked on every lookup, so a
-//! fingerprint collision can cost a duplicate evaluation but never serve the
-//! wrong report.
+//! Reports are keyed by the composite stage key — exactly the [`SimConfig`]
+//! fields [`Stage::Composite`](crate::Stage::Composite) reads, its
+//! [`DefectKind`](crate::DefectKind) included — and its stage fingerprint.
+//! A defect-free and a defective run (or two defect seeds) with the same
+//! platform parameters therefore never alias, in memory or on disk, while
+//! configurations differing only in fields no report depends on (the
+//! disturbance kind and the Monte-Carlo knobs) share one entry. The full
+//! key string is re-checked on every lookup, so a fingerprint collision can
+//! cost a duplicate evaluation but never serve the wrong report. Each entry
+//! keeps the configuration it was first computed for, so snapshots carry a
+//! complete config per row; loading recomputes the key from that config, so
+//! files written under the earlier full-config keying still load.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
@@ -88,8 +91,10 @@ use crate::codec::{
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
+use crate::stage::{composite_stage_key, Stage};
 
-/// Environment variable overriding the default report-cache capacity.
+/// Environment variable overriding the default capacity of every memo slot
+/// (the report slot included).
 pub const CACHE_CAPACITY_ENV: &str = "MSPT_CACHE_CAPACITY";
 
 /// Environment variable naming the warm-cache persistence file `run_all` and
@@ -112,15 +117,15 @@ pub const CACHE_MAX_AGE_ENV: &str = "MSPT_CACHE_MAX_AGE_SECS";
 /// the on-disk layout; loaders reject every other version.
 pub const CACHE_SCHEMA_VERSION: u64 = 1;
 
-/// Default bound on the number of cached reports (far above the paper's
+/// Default bound on the entries of each memo slot (far above the paper's
 /// sweep-point count, so default runs never evict).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Default shard count of the cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
-/// Domain-separation tag mixed into cache-key fingerprints before the
-/// [`chunk_seed`] finalizer. Keeps the cache's key stream decorrelated from
+/// Domain-separation tag of [`ReportCache::fingerprint`], mixed in before
+/// the [`chunk_seed`] finalizer. Keeps that key stream decorrelated from
 /// the Monte-Carlo and defect-map seed domains, exactly like the defect
 /// layer's own domain tag.
 const CACHE_KEY_DOMAIN: u64 = 0xcac4_e4e7_5e12_7a03;
@@ -130,11 +135,11 @@ const CACHE_KEY_DOMAIN: u64 = 0xcac4_e4e7_5e12_7a03;
 const TAG_SNAPSHOT_HEADER: u8 = 0x01;
 
 /// Binary snapshot section carrying one cached entry: save timestamp
-/// (`u64` Unix seconds), fingerprint (`u64`), then the length-prefixed
+/// (`u64` Unix seconds), memo fingerprint (`u64`), then the length-prefixed
 /// config and report [`crate::bincodec`] documents.
 const TAG_SNAPSHOT_ROW: u8 = 0x02;
 
-/// Knobs of the report cache.
+/// Knobs of a memo table: every stage slot, the report slot included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Upper bound on stored entries. `0` disables storage (every request
@@ -327,9 +332,9 @@ impl CacheStats {
 }
 
 /// FNV-1a over `key`, finalized through [`chunk_seed`] under `domain` at
-/// stream index `index` — the common fingerprint primitive of the report
-/// cache (`CACHE_KEY_DOMAIN`, index 0) and the per-stage caches
-/// (`STAGE_KEY_DOMAIN`, indexed by stage).
+/// stream index `index` — the common fingerprint primitive of the stage
+/// memo keys (`STAGE_KEY_DOMAIN`, indexed by stage) and of
+/// [`ReportCache::fingerprint`] (`CACHE_KEY_DOMAIN`, index 0).
 pub(crate) fn key_fingerprint(domain: u64, index: u64, key: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in key.bytes() {
@@ -425,11 +430,11 @@ impl<V> Default for Shard<V> {
     }
 }
 
-/// The generic fingerprint-sharded, bounded-LRU, single-flight memo table —
-/// the machinery [`ReportCache`] runs on, factored out so the per-stage
-/// memo slots of [`crate::stage::StageCache`] reuse it unchanged: sharding,
-/// exact per-shard LRU, `Mutex` + `Condvar` single-flight and
-/// hit/miss/eviction counters, generic over the memoized value.
+/// The generic fingerprint-sharded, bounded-LRU, single-flight memo table
+/// every slot of [`crate::stage::StageCache`] runs on ([`ReportCache`]
+/// wraps the `Composite` one): sharding, exact per-shard LRU,
+/// `Mutex` + `Condvar` single-flight and hit/miss/eviction counters,
+/// generic over the memoized value.
 ///
 /// A key is a `(fingerprint, canonical key string)` pair: the fingerprint
 /// selects the shard and prefilters lookups, and the full key string is
@@ -680,9 +685,9 @@ impl<V: Clone> MemoCache<V> {
     }
 }
 
-/// The value [`ReportCache`] memoizes per configuration: the decoded
-/// configuration rides along with the report so snapshot persistence can
-/// re-encode both without reparsing the canonical key string.
+/// The value [`ReportCache`] memoizes per composite key: the configuration
+/// the report was first computed for rides along with it so snapshot
+/// persistence can write a complete config per row.
 #[derive(Clone)]
 struct CachedReport {
     config: SimConfig,
@@ -690,9 +695,10 @@ struct CachedReport {
 }
 
 /// The sharded, bounded, single-flight LRU cache of
-/// ([`SimConfig`] → [`PlatformReport`]) evaluations — a `MemoCache` keyed
-/// by the canonical serialized configuration, plus versioned snapshot
-/// persistence. See the module docs for the design; see
+/// ([`SimConfig`] → [`PlatformReport`]) evaluations — the
+/// [`Stage::Composite`] slot of [`crate::stage::StageCache`]: a `MemoCache`
+/// keyed by the composite stage key, plus versioned snapshot persistence.
+/// See the module docs for the design; see
 /// [`ExecutionEngine`](crate::ExecutionEngine) for the primary consumer.
 pub struct ReportCache {
     memo: MemoCache<CachedReport>,
@@ -730,12 +736,29 @@ impl ReportCache {
     }
 
     /// The fingerprint of a configuration: an FNV-1a hash of its canonical
-    /// serialized form, finalized through [`chunk_seed`] under the cache's
+    /// serialized form, finalized through [`chunk_seed`] under its own
     /// domain tag. Includes every field of the configuration — notably the
-    /// disturbance kind.
+    /// disturbance kind — so it identifies a configuration across both wire
+    /// codecs. It is not the memo key: entries key on the composite stage
+    /// key (see the module docs).
     #[must_use]
     pub fn fingerprint(config: &SimConfig) -> u64 {
         key_fingerprint(CACHE_KEY_DOMAIN, 0, &canonical_config_string(config))
+    }
+
+    /// The memo key of a configuration and its fingerprint: the composite
+    /// stage key under [`Stage::Composite`]'s stage fingerprint.
+    fn memo_key(config: &SimConfig) -> (u64, String) {
+        let key = composite_stage_key(config);
+        (Stage::Composite.fingerprint(&key), key)
+    }
+
+    /// Stores a decoded snapshot row under the key recomputed from its
+    /// configuration. Returns whether the row was stored.
+    fn insert_row(&self, config: SimConfig, report: PlatformReport) -> bool {
+        let (fingerprint, key) = ReportCache::memo_key(&config);
+        self.memo
+            .insert(fingerprint, &key, &CachedReport { config, report })
     }
 
     /// Number of stored entries.
@@ -755,9 +778,8 @@ impl ReportCache {
     /// diagnostics.
     #[must_use]
     pub fn contains(&self, config: &SimConfig) -> bool {
-        let key = canonical_config_string(config);
-        self.memo
-            .contains_key(key_fingerprint(CACHE_KEY_DOMAIN, 0, &key), &key)
+        let (fingerprint, key) = ReportCache::memo_key(config);
+        self.memo.contains_key(fingerprint, &key)
     }
 
     /// The current counter values.
@@ -777,8 +799,7 @@ impl ReportCache {
     where
         F: FnOnce() -> Result<PlatformReport>,
     {
-        let key = canonical_config_string(config);
-        let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
+        let (fingerprint, key) = ReportCache::memo_key(config);
         self.memo
             .get_or_compute(fingerprint, &key, || {
                 compute().map(|report| CachedReport {
@@ -795,9 +816,9 @@ impl ReportCache {
     /// divide it, so the snapshot keeps only the `capacity` most recently
     /// used entries — the persisted file can never grow past the configured
     /// bound across warm restarts. Which entries survive therefore follows
-    /// access recency; the surviving set itself is sorted by canonical
-    /// configuration string, so two caches persisting the same surviving
-    /// entries render byte-identical files regardless of insertion order.
+    /// access recency; the surviving set itself is sorted by memo key, so
+    /// two caches persisting the same surviving entries render
+    /// byte-identical files regardless of insertion order.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         self.snapshot_with_count().0
@@ -805,12 +826,9 @@ impl ReportCache {
 
     /// The rows a snapshot persists, in persisted order: every stored
     /// entry, most-recently-used entries winning the truncation to the
-    /// capacity bound, the surviving set sorted by canonical configuration
-    /// string so both snapshot encodings are deterministic for a given
-    /// surviving set.
+    /// capacity bound, the surviving set sorted by memo key so both
+    /// snapshot encodings are deterministic for a given surviving set.
     fn snapshot_rows(&self) -> Vec<(u64, SimConfig, PlatformReport)> {
-        // The memo key *is* the canonical configuration string, so the
-        // deterministic snapshot order comes straight from the entries.
         let mut rows: Vec<(u64, String, u64, SimConfig, PlatformReport)> = self
             .memo
             .entries()
@@ -929,8 +947,10 @@ impl ReportCache {
                     let mut section = BinReader::new(body);
                     let written_at = section.take_u64()?;
                     // The stored fingerprint serves the append-time scan;
-                    // loading recomputes it from the decoded configuration
-                    // so a corrupted value can never misfile an entry.
+                    // loading recomputes the key from the decoded
+                    // configuration, so a corrupted value can never misfile
+                    // an entry and rows written under an earlier keying
+                    // still load.
                     let _stored_fingerprint = section.take_u64()?;
                     let config_length = section.take_u32()? as usize;
                     let config = bincodec::config_from_bin(section.take_bytes(config_length)?)?;
@@ -940,12 +960,7 @@ impl ReportCache {
                     if now_unix.saturating_sub(written_at) > max_age_secs {
                         continue;
                     }
-                    let key = canonical_config_string(&config);
-                    let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
-                    if self
-                        .memo
-                        .insert(fingerprint, &key, &CachedReport { config, report })
-                    {
+                    if self.insert_row(config, report) {
                         loaded += 1;
                     }
                 }
@@ -988,12 +1003,7 @@ impl ReportCache {
         for row in entries {
             let config = config_from_json(row.get("config")?)?;
             let report = report_from_json(row.get("report")?)?;
-            let key = canonical_config_string(&config);
-            let fingerprint = key_fingerprint(CACHE_KEY_DOMAIN, 0, &key);
-            if self
-                .memo
-                .insert(fingerprint, &key, &CachedReport { config, report })
-            {
+            if self.insert_row(config, report) {
                 loaded += 1;
             }
         }

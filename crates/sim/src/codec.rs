@@ -1085,9 +1085,9 @@ pub fn wire_error_kind_from_json(value: &JsonValue) -> Result<WireErrorKind> {
 /// rendering of [`config_to_json`]. Equal configurations produce identical
 /// strings; configurations differing in **any** field — including the
 /// disturbance kind and the defect selection — produce different strings.
-/// The report cache fingerprints this string, which is what guarantees a
-/// Gaussian and a Laplace run (or a defect-free and a defective run) with
-/// the same platform parameters never alias.
+/// [`ReportCache::fingerprint`](crate::ReportCache::fingerprint) hashes this
+/// string, so a configuration's fingerprint is the same whichever codec
+/// carried it.
 #[must_use]
 pub fn canonical_config_string(config: &SimConfig) -> String {
     config_to_json(config).render()

@@ -26,14 +26,16 @@
 //!
 //! # Memoization
 //!
-//! The engine carries a sharded, bounded, single-flight LRU
-//! [`ReportCache`] of [`PlatformReport`]s: repeated (kind, radix, length)
-//! points across `yield_sweep`, `bit_area_sweep` and `full_sweep` calls on
-//! the same engine are evaluated once and served from the cache afterwards,
-//! and concurrent identical requests (the serve layer's workload) block on
-//! one in-flight evaluation instead of duplicating it. The cache persists to
-//! a versioned JSON snapshot ([`ExecutionEngine::save_cache`] /
-//! [`ExecutionEngine::load_cache`]) so repeated runs restart warm.
+//! The engine owns one memo, its [`StageCache`]: a sharded, bounded,
+//! single-flight LRU slot per pipeline stage. Its `Composite` slot is the
+//! [`ReportCache`](crate::ReportCache) of [`PlatformReport`]s, so repeated
+//! (kind, radix, length) points across `yield_sweep`, `bit_area_sweep` and
+//! `full_sweep` calls on the same engine are evaluated once and served from
+//! that slot afterwards, and concurrent identical requests (the serve
+//! layer's workload) block on one in-flight evaluation instead of
+//! duplicating it. The report slot persists to a versioned snapshot —
+//! binary by default, JSON on request ([`ExecutionEngine::save_cache`] /
+//! [`ExecutionEngine::load_cache`]) — so repeated runs restart warm.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -50,7 +52,7 @@ use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-use crate::cache::{CacheConfig, CacheStats, ReportCache};
+use crate::cache::{CacheConfig, CacheStats};
 use crate::config::SimConfig;
 use crate::defect::DefectKind;
 use crate::disturbance::{DisturbanceModel, GaussianDisturbance};
@@ -122,8 +124,8 @@ fn default_thread_count() -> usize {
 }
 
 /// The work-sharded execution engine: runs Monte-Carlo estimations and
-/// parameter sweeps across a fixed pool of scoped threads, with a memoized
-/// per-[`SimConfig`] report cache.
+/// parameter sweeps across a fixed pool of scoped threads, memoized in one
+/// per-stage [`StageCache`].
 ///
 /// # Examples
 ///
@@ -151,7 +153,6 @@ fn default_thread_count() -> usize {
 #[derive(Debug)]
 pub struct ExecutionEngine {
     config: EngineConfig,
-    cache: ReportCache,
     stages: StageCache,
     sampling: SamplingCounters,
 }
@@ -187,19 +188,19 @@ impl Default for ExecutionEngine {
 }
 
 impl ExecutionEngine {
-    /// Creates an engine with the default report cache
-    /// ([`CacheConfig::default`]: `MSPT_CACHE_CAPACITY` or 4096 entries,
-    /// 8 shards). Zero `threads` or `chunk_size` are clamped to one so every
-    /// configuration is runnable.
+    /// Creates an engine with the default stage cache
+    /// ([`CacheConfig::default`] per slot: `MSPT_CACHE_CAPACITY` or 4096
+    /// entries, 8 shards). Zero `threads` or `chunk_size` are clamped to
+    /// one so every configuration is runnable.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         ExecutionEngine::with_cache(config, CacheConfig::default())
     }
 
-    /// Creates an engine with an explicit report-cache configuration — the
-    /// constructor behind cache-bound experiments and the serve layer's
-    /// capacity knob. The per-stage memo table ([`ExecutionEngine::stage_cache`])
-    /// shares the same capacity/shard configuration.
+    /// Creates an engine with an explicit memo configuration, applied to
+    /// every slot of the stage cache ([`ExecutionEngine::stage_cache`]), the
+    /// report slot included — the constructor behind cache-bound
+    /// experiments and the serve layer's capacity knob.
     #[must_use]
     pub fn with_cache(config: EngineConfig, cache: CacheConfig) -> Self {
         ExecutionEngine {
@@ -207,14 +208,13 @@ impl ExecutionEngine {
                 threads: config.threads.max(1),
                 chunk_size: config.chunk_size.max(1),
             },
-            cache: ReportCache::new(cache),
             stages: StageCache::new(cache),
             sampling: SamplingCounters::default(),
         }
     }
 
-    /// A single-threaded engine with the default chunk size — the engine
-    /// behind the serial free functions.
+    /// A single-threaded engine with the default chunk size — the serial
+    /// reference every parallel result is compared against.
     #[must_use]
     pub fn serial() -> Self {
         ExecutionEngine::new(EngineConfig::serial())
@@ -226,23 +226,26 @@ impl ExecutionEngine {
         &self.config
     }
 
-    /// Number of distinct [`SimConfig`]s whose reports are memoized.
+    /// Number of memoized reports: the entries of the
+    /// [`Stage::Composite`](crate::Stage::Composite) slot.
     #[must_use]
     pub fn cached_report_count(&self) -> usize {
-        self.cache.len()
+        self.stages.reports().len()
     }
 
-    /// The cache's hit/miss/eviction counters — what the serve stress gate
+    /// The report slot's hit/miss/eviction counters — the
+    /// [`Stage::Composite`](crate::Stage::Composite) row of
+    /// [`ExecutionEngine::stage_stats`], and what the serve stress gate
     /// asserts its hit rates on.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.stages.reports().stats()
     }
 
-    /// The (clamped) configuration of the report cache.
+    /// The (clamped) configuration of every memo slot.
     #[must_use]
     pub fn cache_config(&self) -> &CacheConfig {
-        self.cache.config()
+        self.stages.reports().config()
     }
 
     /// The engine's per-stage memo table — the stage-graph substrate every
@@ -264,8 +267,9 @@ impl ExecutionEngine {
         self.stages.stats()
     }
 
-    /// Evaluates one configuration through the report cache: a repeated
-    /// configuration is a cache hit, concurrent identical requests
+    /// Evaluates one configuration through the stage cache: one
+    /// [`Stage::Composite`](crate::Stage::Composite) lookup, so a repeated
+    /// configuration is a single hit and concurrent identical requests
     /// single-flight onto one evaluation. This is the serve layer's
     /// per-request entry point.
     ///
@@ -275,18 +279,17 @@ impl ExecutionEngine {
     /// serial [`SimulationPlatform::evaluate`] at any thread count, because
     /// both assemble the same independently seeded chunks.
     ///
-    /// A report-cache miss still runs through the engine's
-    /// [`StageCache`]: the defect map (as its
-    /// [`DefectTally`](crossbar_array::DefectTally)) and every pipeline
-    /// stage memoize independently, so a configuration that differs from a
-    /// cached one in only some fields (a sweep point) recomputes only the
-    /// stages whose read set changed.
+    /// A composite miss runs the other stages inside its single flight:
+    /// the defect map (as its [`DefectTally`](crossbar_array::DefectTally))
+    /// and every pipeline stage memoize independently, so a configuration
+    /// that differs from a cached one in only some fields (a sweep point)
+    /// recomputes only the stages whose read set changed.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors (never cached).
     pub fn report_for(&self, config: &SimConfig) -> Result<PlatformReport> {
-        self.cache.get_or_compute(config, || {
+        self.stages.composite(config, || {
             let platform = SimulationPlatform::new(config.clone());
             let tally = self.stages.defect_map(config, || {
                 let map = platform.sample_defect_map_with(|model, rows, columns, seed| {
@@ -294,29 +297,30 @@ impl ExecutionEngine {
                 })?;
                 Ok(map.as_ref().map(DefectMap::tally))
             })?;
-            platform.evaluate_with_stage_cache(&self.stages, tally)
+            platform.compose_report(&self.stages, tally)
         })
     }
 
-    /// Persists the warm report cache to a versioned JSON snapshot file.
-    /// Returns the number of persisted entries.
+    /// Persists the warm report slot to a versioned snapshot file (binary
+    /// unless `MSPT_CACHE_FORMAT=json`). Returns the number of persisted
+    /// entries.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Persistence`] on I/O failure.
     pub fn save_cache(&self, path: &Path) -> Result<usize> {
-        self.cache.save_to_path(path)
+        self.stages.reports().save_to_path(path)
     }
 
-    /// Restores a warm report cache saved by [`ExecutionEngine::save_cache`].
-    /// Returns the number of entries loaded.
+    /// Restores a warm report slot saved by [`ExecutionEngine::save_cache`]
+    /// (either snapshot format). Returns the number of entries loaded.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Persistence`] on I/O failure, malformed JSON or a
-    /// mismatched snapshot schema version.
+    /// Returns [`SimError::Persistence`] on I/O failure, a malformed
+    /// snapshot or a mismatched snapshot schema version.
     pub fn load_cache(&self, path: &Path) -> Result<usize> {
-        self.cache.load_from_path(path)
+        self.stages.reports().load_from_path(path)
     }
 
     /// Cumulative Monte-Carlo sampling counters (runs, requested ceiling,
@@ -597,7 +601,7 @@ impl ExecutionEngine {
         )?)
     }
 
-    /// Evaluates every configuration through the report cache, fanning the
+    /// Evaluates every configuration through the report slot, fanning the
     /// batch across the engine's threads. In-batch duplicates are deduped
     /// *before* the fan-out so they never occupy a worker just to block on
     /// another worker's single-flight (and are evaluated once even with a
@@ -623,8 +627,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::complexity_sweep`] (Fig. 5): element-identical
-    /// to the serial path.
+    /// Sweeps the fabrication complexity `Φ` over code families and logic
+    /// radices at a fixed half-cave size (Fig. 5 uses `N = 10`), one point
+    /// per (radix, kind) pair; element-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -666,13 +671,15 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::yield_sweep`] (Fig. 7): element-identical to
-    /// the serial path; invalid lengths for the family are skipped.
+    /// Sweeps the crossbar yield over code lengths for one code family (one
+    /// series of Fig. 7); element-identical at any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::EmptySweep`] for an empty length set, or
-    /// propagates evaluation errors.
+    /// propagates evaluation errors. Lengths that are invalid for the
+    /// family/radix are skipped silently so hot-code sweeps can share length
+    /// lists with tree-code sweeps.
     pub fn yield_sweep(
         &self,
         base: &SimConfig,
@@ -697,10 +704,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::defect_yield_sweep`] (the defect axis of the
-    /// Fig. 7 extension): evaluates one code under every fabrication-defect
-    /// selection through the report cache, element-identical to the serial
-    /// path. Defect maps are engine-sharded via
+    /// Sweeps the composite crossbar yield of one code over a set of
+    /// fabrication-defect selections (the defect axis of the Fig. 7
+    /// extension) through the report slot. Defect maps are engine-sharded via
     /// [`ExecutionEngine::report_for`], so points stay bit-identical for any
     /// thread count.
     ///
@@ -739,8 +745,9 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::bit_area_sweep`] (Fig. 8): element-identical
-    /// to the serial path; invalid lengths for the family are skipped.
+    /// Sweeps the effective bit area over code lengths for one code family
+    /// (one bar group of Fig. 8); element-identical at any thread count.
+    /// Invalid lengths for the family are skipped.
     ///
     /// # Errors
     ///
@@ -770,8 +777,10 @@ impl ExecutionEngine {
             .collect())
     }
 
-    /// Parallel [`crate::sweep::full_sweep`]: element-identical to the serial
-    /// path; invalid (kind, length) pairs are skipped.
+    /// Evaluates the full platform report for every (kind, length) pair —
+    /// for experiments and benches that need several figures at once;
+    /// element-identical at any thread count. Invalid (kind, length) pairs
+    /// are skipped.
     ///
     /// # Errors
     ///
@@ -821,7 +830,6 @@ fn valid_length_configs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep;
 
     fn base() -> SimConfig {
         let code = CodeSpec::new(CodeKind::Tree, LogicLevel::BINARY, 8).unwrap();
@@ -940,26 +948,33 @@ mod tests {
             engine
                 .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
                 .unwrap(),
-            sweep::complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
+            ExecutionEngine::serial()
+                .complexity_sweep(&base, &[CodeKind::Tree, CodeKind::Gray], &radices, 8, 10)
                 .unwrap()
         );
         assert_eq!(
             engine
                 .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
                 .unwrap(),
-            sweep::yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths).unwrap()
+            ExecutionEngine::serial()
+                .yield_sweep(&base, CodeKind::Hot, LogicLevel::BINARY, &lengths)
+                .unwrap()
         );
         assert_eq!(
             engine
                 .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
                 .unwrap(),
-            sweep::bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8]).unwrap()
+            ExecutionEngine::serial()
+                .bit_area_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &[6, 8])
+                .unwrap()
         );
         assert_eq!(
             engine
                 .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
                 .unwrap(),
-            sweep::full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8]).unwrap()
+            ExecutionEngine::serial()
+                .full_sweep(&base, &kinds, LogicLevel::BINARY, &[6, 8])
+                .unwrap()
         );
         let defects = [
             DefectKind::None,
@@ -969,7 +984,8 @@ mod tests {
             engine
                 .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
                 .unwrap(),
-            sweep::defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
+            ExecutionEngine::serial()
+                .defect_yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, 8, &defects)
                 .unwrap()
         );
     }
@@ -994,6 +1010,36 @@ mod tests {
             .yield_sweep(&base, CodeKind::Tree, LogicLevel::BINARY, &lengths)
             .unwrap();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_warm_report_is_one_composite_hit_and_no_other_lookup() {
+        let engine = engine(2);
+        let config = base().with_defects(DefectKind::sampled(0.02, 0.01, 7).unwrap());
+        let cold = engine.report_for(&config).unwrap();
+        let before = engine.stage_stats();
+        let warm = engine.report_for(&config).unwrap();
+        let after = engine.stage_stats();
+        assert_eq!(warm, cold);
+        for (old, new) in before.iter().zip(&after) {
+            let moved = (
+                new.stats.hits - old.stats.hits,
+                new.stats.misses - old.stats.misses,
+            );
+            let expected = if new.stage == crate::Stage::Composite {
+                (1, 0)
+            } else {
+                (0, 0)
+            };
+            assert_eq!(moved, expected, "stage {}", new.stage.name());
+        }
+        // The report counters are the Composite row, not a second layer.
+        let composite = after
+            .iter()
+            .find(|row| row.stage == crate::Stage::Composite)
+            .unwrap();
+        assert_eq!(engine.cache_stats(), composite.stats);
+        assert_eq!(engine.cached_report_count(), composite.stats.entries);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! Before this module the crate had grown parallel entry points per
 //! concern — `evaluate` vs `evaluate_with_defect_map` on the platform,
 //! `monte_carlo_addressability` / `monte_carlo_with_disturbance` /
-//! `monte_carlo_for_config` on the engine plus serial free-function twins.
-//! They all still exist as thin delegates (nothing breaks), but new callers
-//! should write:
+//! `monte_carlo_for_config` on the engine. Those remain for callers that
+//! bring their own inputs, but new callers should write:
 //!
 //! ```
 //! use decoder_sim::{Evaluation, ExecutionEngine, SimConfig};
@@ -116,8 +115,8 @@ impl EvaluationBuilder {
     }
 
     /// Runs the evaluation on `engine`. The report half goes through the
-    /// engine's report cache and stage cache
-    /// ([`ExecutionEngine::report_for`]); the Monte-Carlo half goes through
+    /// engine's stage cache ([`ExecutionEngine::report_for`]); the
+    /// Monte-Carlo half goes through
     /// the Monte-Carlo stage slot
     /// ([`ExecutionEngine::monte_carlo_for_config`]). Results are
     /// bit-identical to the serial entry points at any thread count.

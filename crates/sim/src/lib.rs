@@ -16,11 +16,12 @@
 //! ([`ExecutionEngine::sample_defect_map`]) under the same per-chunk seeding
 //! contract, and composes sampled defect maps into every report when a
 //! configuration selects them ([`SimConfig::with_defects`] /
-//! [`DefectKind`]) — the defect axis of the Fig. 7 extension. The serial
-//! free functions are thin wrappers over a single-threaded engine.
+//! [`DefectKind`]) — the defect axis of the Fig. 7 extension.
+//! [`ExecutionEngine::serial`] is the single-threaded reference.
 //!
-//! Repeated evaluations are served from the engine's sharded, bounded,
-//! single-flight [`ReportCache`], which persists to a versioned snapshot —
+//! Repeated evaluations are served from the engine's one memo, its
+//! sharded, bounded, single-flight [`StageCache`]; the `Composite` slot is
+//! the [`ReportCache`], which persists to a versioned snapshot —
 //! compact binary through the std-only [`bincodec`] module by default, JSON
 //! through [`codec`] for inspectability, with the format auto-detected on
 //! load — the substrate of the `mspt-serve` concurrent serving layer.
@@ -84,8 +85,8 @@ pub use engine::{
 pub use error::{Result, SimError};
 pub use evaluation::{Evaluation, EvaluationBuilder, EvaluationOutcome};
 pub use monte_carlo::{
-    max_profile_difference, monte_carlo_addressability, monte_carlo_with_disturbance,
-    MonteCarloConfig, MonteCarloOutcome, NormalSource, DEFAULT_MC_CONFIDENCE,
+    max_profile_difference, MonteCarloConfig, MonteCarloOutcome, NormalSource,
+    DEFAULT_MC_CONFIDENCE,
 };
 pub use stats::{inverse_normal_cdf, wilson_bounds, wilson_half_width, z_for_confidence};
 
@@ -98,8 +99,7 @@ pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};
 pub use stage::{ConfigField, Stage, StageCache, StageStats};
 pub use sweep::{
-    bit_area_sweep, complexity_sweep, defect_yield_sweep, full_sweep, variability_map, yield_sweep,
-    BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
+    variability_map, BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
 };
 
 #[cfg(test)]

@@ -52,7 +52,6 @@ use mspt_fabrication::VariabilityMatrix;
 pub(crate) use crossbar_array::chunk_seed;
 
 use crate::disturbance::DisturbanceModel;
-use crate::engine::ExecutionEngine;
 use crate::error::{Result, SimError};
 
 /// The confidence level a [`MonteCarloConfig`] uses when none is specified:
@@ -232,60 +231,6 @@ pub struct MonteCarloOutcome {
     pub ci_lower: Vec<f64>,
     /// Per-nanowire Wilson upper confidence bounds.
     pub ci_upper: Vec<f64>,
-}
-
-/// Estimates the per-nanowire addressability of a half cave by sampling the
-/// Gaussian disturbance of every doping region `samples` times.
-///
-/// Thin wrapper over a single-threaded [`ExecutionEngine`]; results are
-/// bit-identical to the engine at any thread count.
-///
-/// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation), which
-/// derives the inputs from a [`SimConfig`](crate::SimConfig) and memoizes
-/// through the engine's stage cache.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] when `samples` is zero, or propagates
-/// lower-layer errors.
-pub fn monte_carlo_addressability(
-    variability: &VariabilityMatrix,
-    model: &VariabilityModel,
-    window: Volts,
-    config: MonteCarloConfig,
-) -> Result<MonteCarloOutcome> {
-    ExecutionEngine::serial().monte_carlo_addressability(variability, model, window, config)
-}
-
-/// [`monte_carlo_addressability`] under an explicit [`DisturbanceModel`]
-/// instead of the default Gaussian — the serial entry point for heavy-tailed
-/// or correlated dose-noise studies.
-///
-/// Thin wrapper over a single-threaded
-/// [`ExecutionEngine::monte_carlo_with_disturbance`]; results are
-/// bit-identical to the engine at any thread count.
-///
-/// Deprecated entry point: prefer [`Evaluation`](crate::Evaluation) with
-/// [`SimConfig::with_disturbance`](crate::SimConfig::with_disturbance).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] when `samples` is zero, or propagates
-/// lower-layer errors.
-pub fn monte_carlo_with_disturbance(
-    variability: &VariabilityMatrix,
-    model: &VariabilityModel,
-    window: Volts,
-    config: MonteCarloConfig,
-    disturbance: &dyn DisturbanceModel,
-) -> Result<MonteCarloOutcome> {
-    ExecutionEngine::serial().monte_carlo_with_disturbance(
-        variability,
-        model,
-        window,
-        config,
-        disturbance,
-    )
 }
 
 /// Validates a Monte-Carlo configuration and decision window.
@@ -553,6 +498,7 @@ pub fn max_profile_difference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecutionEngine;
     use device_physics::{DopingLadder, ThresholdModel};
     use mspt_fabrication::PatternMatrix;
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -585,13 +531,14 @@ mod tests {
         let window = Volts::new(0.25);
         let analytic =
             AddressabilityProfile::from_variability(&variability, &model, window).unwrap();
-        let sampled = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(4_000, 7),
-        )
-        .unwrap();
+        let sampled = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                window,
+                MonteCarloConfig::fixed(4_000, 7),
+            )
+            .unwrap();
         assert_eq!(sampled.samples, 4_000);
         assert_eq!(sampled.samples_used, 4_000);
         let diff = max_profile_difference(&analytic, &sampled.profile);
@@ -604,8 +551,12 @@ mod tests {
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
         let config = MonteCarloConfig::fixed(500, 42);
-        let a = monte_carlo_addressability(&variability, &model, window, config).unwrap();
-        let b = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+        let a = ExecutionEngine::serial()
+            .monte_carlo_addressability(&variability, &model, window, config)
+            .unwrap();
+        let b = ExecutionEngine::serial()
+            .monte_carlo_addressability(&variability, &model, window, config)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -613,20 +564,22 @@ mod tests {
     fn zero_samples_and_negative_windows_are_rejected() {
         let variability = variability(CodeKind::Tree, 6, 8);
         let model = VariabilityModel::paper_default();
-        assert!(monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(0.25),
-            MonteCarloConfig::fixed(0, 1),
-        )
-        .is_err());
-        assert!(monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(-0.1),
-            MonteCarloConfig::default(),
-        )
-        .is_err());
+        assert!(ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                Volts::new(0.25),
+                MonteCarloConfig::fixed(0, 1),
+            )
+            .is_err());
+        assert!(ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                Volts::new(-0.1),
+                MonteCarloConfig::default(),
+            )
+            .is_err());
     }
 
     #[test]
@@ -647,7 +600,9 @@ mod tests {
                 .with_max_samples(0),
         ] {
             assert!(
-                monte_carlo_addressability(&variability, &model, window, bad).is_err(),
+                ExecutionEngine::serial()
+                    .monte_carlo_addressability(&variability, &model, window, bad)
+                    .is_err(),
                 "{bad:?} was accepted"
             );
         }
@@ -761,20 +716,22 @@ mod tests {
         // statistical slack.
         let variability = variability(CodeKind::Hot, 6, 12);
         let model = VariabilityModel::paper_default();
-        let narrow = monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(0.1),
-            MonteCarloConfig::fixed(1_000, 9),
-        )
-        .unwrap();
-        let wide = monte_carlo_addressability(
-            &variability,
-            &model,
-            Volts::new(0.4),
-            MonteCarloConfig::fixed(1_000, 9),
-        )
-        .unwrap();
+        let narrow = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                Volts::new(0.1),
+                MonteCarloConfig::fixed(1_000, 9),
+            )
+            .unwrap();
+        let wide = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                Volts::new(0.4),
+                MonteCarloConfig::fixed(1_000, 9),
+            )
+            .unwrap();
         for (n, (narrow_p, wide_p)) in narrow
             .profile
             .probabilities()
@@ -795,13 +752,14 @@ mod tests {
         let variability = variability(CodeKind::Gray, 8, 20);
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
-        let adaptive = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(20_000, 7).with_target_half_width(0.05),
-        )
-        .unwrap();
+        let adaptive = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                window,
+                MonteCarloConfig::fixed(20_000, 7).with_target_half_width(0.05),
+            )
+            .unwrap();
         assert_eq!(adaptive.samples, 20_000);
         // The tentpole target: at least 5× fewer samples than the fixed run
         // on this tight-window configuration.
@@ -814,13 +772,14 @@ mod tests {
         assert_eq!(adaptive.samples_used % 256, 0);
         // Determinism contract: the adaptive result is exactly the fixed
         // run over the prefix it kept — same seed, same chunk order.
-        let prefix = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(adaptive.samples_used, 7),
-        )
-        .unwrap();
+        let prefix = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                window,
+                MonteCarloConfig::fixed(adaptive.samples_used, 7),
+            )
+            .unwrap();
         assert_eq!(adaptive.profile, prefix.profile);
         assert_eq!(adaptive.ci_lower, prefix.ci_lower);
         assert_eq!(adaptive.ci_upper, prefix.ci_upper);
@@ -844,25 +803,27 @@ mod tests {
         let variability = variability(CodeKind::Tree, 6, 8);
         let model = VariabilityModel::paper_default();
         let window = Volts::new(0.25);
-        let outcome = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(1_000, 3)
-                .with_target_half_width(1e-6)
-                .with_max_samples(700),
-        )
-        .unwrap();
+        let outcome = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                window,
+                MonteCarloConfig::fixed(1_000, 3)
+                    .with_target_half_width(1e-6)
+                    .with_max_samples(700),
+            )
+            .unwrap();
         assert_eq!(outcome.samples, 700);
         assert_eq!(outcome.samples_used, 700);
         // The capped adaptive run equals the fixed run of the same length.
-        let fixed = monte_carlo_addressability(
-            &variability,
-            &model,
-            window,
-            MonteCarloConfig::fixed(700, 3),
-        )
-        .unwrap();
+        let fixed = ExecutionEngine::serial()
+            .monte_carlo_addressability(
+                &variability,
+                &model,
+                window,
+                MonteCarloConfig::fixed(700, 3),
+            )
+            .unwrap();
         assert_eq!(outcome.profile, fixed.profile);
     }
 }

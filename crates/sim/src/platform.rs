@@ -239,7 +239,7 @@ impl SimulationPlatform {
     ///
     /// Callers holding an [`ExecutionEngine`](crate::ExecutionEngine) should
     /// prefer [`Evaluation`](crate::Evaluation), which runs the same
-    /// pipeline through the engine's report and stage caches.
+    /// pipeline through the engine's stage cache.
     ///
     /// # Errors
     ///
@@ -288,12 +288,11 @@ impl SimulationPlatform {
     }
 
     /// [`SimulationPlatform::evaluate_with_defect_map`] through an explicit
-    /// per-stage memo table — the stage-graph entry point the
-    /// [`ExecutionEngine`](crate::ExecutionEngine) routes every cached
-    /// evaluation through. Each pipeline stage (variability, contact layout,
-    /// addressability, cave yield, crossbar area, defect composition) looks
-    /// up its own fingerprint in `stages` first, so a configuration change
-    /// recomputes only the stages whose declared read set it touches (see
+    /// per-stage memo table: one [`Stage::Composite`](crate::Stage::Composite)
+    /// lookup, and on a miss every pipeline stage (variability, contact
+    /// layout, addressability, cave yield, crossbar area) looks up its own
+    /// fingerprint in `stages`, so a configuration change recomputes only
+    /// the stages whose declared read set it touches (see
     /// [`Stage::reads`](crate::Stage::reads)).
     ///
     /// With a [`StageCache::disabled`] cache every stage is a leader-path
@@ -314,55 +313,66 @@ impl SimulationPlatform {
         stages: &StageCache,
         tally: Option<DefectTally>,
     ) -> Result<PlatformReport> {
-        let spec = self.config.crossbar_spec()?;
-        let edge = spec.nanowires_per_layer();
+        let edge = self.config.crossbar_spec()?.nanowires_per_layer();
         check_defect_map(self.config.defects(), tally, edge)?;
-        stages.composite(&self.config, || {
-            let code = self.config.code();
-            let staged = self.variability_stage(stages)?;
-            let layout = stages.contact_layout(&self.config, || self.contact_layout())?;
-            let profile = stages.addressability(&self.config, || {
-                Ok(AddressabilityProfile::from_variability(
-                    &staged.variability,
-                    &self.config.variability_model()?,
-                    self.config.decision_window()?,
-                )?)
-            })?;
-            let yield_ =
-                stages.cave_yield(&self.config, || Ok(CaveYield::compute(&profile, &layout)?))?;
-            let area = stages.crossbar_area(&self.config, || {
-                Ok(CrossbarArea::compute(&spec, code.code_length(), &layout)?)
-            })?;
-            let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
-            let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
+        stages.composite(&self.config, || self.compose_report(stages, tally))
+    }
 
-            let (defect_survival, composite_yield, composite_effective_bits) =
-                compose_defect_quantities(
-                    self.config.defects(),
-                    tally,
-                    edge,
-                    &yield_,
-                    effective_bits,
-                    spec.raw_crosspoints(),
-                )?;
+    /// Composes the report from the memoized upstream stages **without**
+    /// consulting the [`Stage::Composite`](crate::Stage::Composite) slot —
+    /// the compute step of that slot. Callers already inside a composite
+    /// miss (the engine's `report_for`) call this directly: re-entering the
+    /// slot under its own single-flight key would wait on itself.
+    pub(crate) fn compose_report(
+        &self,
+        stages: &StageCache,
+        tally: Option<DefectTally>,
+    ) -> Result<PlatformReport> {
+        let spec = self.config.crossbar_spec()?;
+        let code = self.config.code();
+        let staged = self.variability_stage(stages)?;
+        let layout = stages.contact_layout(&self.config, || self.contact_layout())?;
+        let profile = stages.addressability(&self.config, || {
+            Ok(AddressabilityProfile::from_variability(
+                &staged.variability,
+                &self.config.variability_model()?,
+                self.config.decision_window()?,
+            )?)
+        })?;
+        let yield_ =
+            stages.cave_yield(&self.config, || Ok(CaveYield::compute(&profile, &layout)?))?;
+        let area = stages.crossbar_area(&self.config, || {
+            Ok(CrossbarArea::compute(&spec, code.code_length(), &layout)?)
+        })?;
+        let effective_bit_area = area.effective_bit_area(&spec, &yield_)?;
+        let effective_bits = yield_.effective_bits(spec.raw_crosspoints());
 
-            Ok(PlatformReport {
-                code,
-                nanowires_per_half_cave: self.config.nanowires_per_half_cave(),
-                fabrication_steps: staged.cost.total(),
-                mean_variability: staged.variability.mean_in_sigma_units(),
-                max_normalized_sigma: staged.variability.normalized_map().max(),
-                cave_yield: yield_.nanowire_yield(),
-                crossbar_yield: yield_.crossbar_yield(),
+        let (defect_survival, composite_yield, composite_effective_bits) =
+            compose_defect_quantities(
+                self.config.defects(),
+                tally,
+                spec.nanowires_per_layer(),
+                &yield_,
                 effective_bits,
-                raw_bit_area: area.raw_bit_area(&spec).value(),
-                effective_bit_area: effective_bit_area.value(),
-                contact_groups: layout.group_count(),
-                defects: self.config.defects(),
-                defect_survival,
-                composite_yield,
-                composite_effective_bits,
-            })
+                spec.raw_crosspoints(),
+            )?;
+
+        Ok(PlatformReport {
+            code,
+            nanowires_per_half_cave: self.config.nanowires_per_half_cave(),
+            fabrication_steps: staged.cost.total(),
+            mean_variability: staged.variability.mean_in_sigma_units(),
+            max_normalized_sigma: staged.variability.normalized_map().max(),
+            cave_yield: yield_.nanowire_yield(),
+            crossbar_yield: yield_.crossbar_yield(),
+            effective_bits,
+            raw_bit_area: area.raw_bit_area(&spec).value(),
+            effective_bit_area: effective_bit_area.value(),
+            contact_groups: layout.group_count(),
+            defects: self.config.defects(),
+            defect_survival,
+            composite_yield,
+            composite_effective_bits,
         })
     }
 }

@@ -27,20 +27,20 @@
 //! **exactly** the accessors its [`Stage::reads`] entry declares (the
 //! `stage-fingerprint` lint in `mspt-analyze` machine-checks this), and a
 //! fingerprint `key_fingerprint(STAGE_KEY_DOMAIN, stage_index, key)` — the
-//! same FNV-1a + [`chunk_seed`](crossbar_array::chunk_seed) discipline as
-//! the report cache, under its own domain tag so stage keys never collide
-//! with report keys or sampling seeds.
+//! FNV-1a + [`chunk_seed`](crossbar_array::chunk_seed) discipline, under its
+//! own domain tag so stage keys never collide with sampling seeds.
 //!
-//! [`StageCache`] holds one [`MemoCache`] slot per stage, so every stage
-//! keeps the report cache's per-shard LRU bounds, single-flight semantics
-//! and counters.
+//! [`StageCache`] holds one [`MemoCache`] slot per stage, each with the
+//! same per-shard LRU bounds, single-flight semantics and counters. The
+//! `Composite` slot is the [`ReportCache`], which adds snapshot
+//! persistence — the only memo layer between a request and the pipeline.
 
 use crossbar_array::{
     AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectTally,
 };
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
-use crate::cache::{key_fingerprint, CacheConfig, CacheStats, MemoCache};
+use crate::cache::{key_fingerprint, CacheConfig, CacheStats, MemoCache, ReportCache};
 use crate::config::SimConfig;
 use crate::error::Result;
 use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
@@ -48,7 +48,7 @@ use crate::platform::PlatformReport;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
 /// [`chunk_seed`](crossbar_array::chunk_seed) finalizer. Keeps the stage
-/// memo keys decorrelated from the report-cache key stream and from every
+/// memo keys decorrelated from [`ReportCache::fingerprint`] and from every
 /// sampling seed domain.
 const STAGE_KEY_DOMAIN: u64 = 0x57a6_e1fd_9b3c_5a21;
 
@@ -440,15 +440,15 @@ pub struct StageStats {
 }
 
 /// The per-stage memo table of the evaluation pipeline: one
-/// `MemoCache` slot per [`Stage`], each with the report cache's
-/// fingerprint sharding, bounded LRU, single-flight semantics and
-/// hit/miss/eviction counters — the generalisation of
-/// [`ReportCache`](crate::ReportCache) the stage graph runs on.
+/// `MemoCache` slot per [`Stage`], each with fingerprint sharding, bounded
+/// LRU, single-flight semantics and hit/miss/eviction counters. The
+/// [`Stage::Composite`] slot is a [`ReportCache`]
+/// ([`StageCache::reports`]), so reports persist as snapshots.
 ///
-/// The [`ExecutionEngine`](crate::ExecutionEngine) owns one; the serial
-/// entry points route through a [`StageCache::disabled`] instance, so
-/// their behaviour (including every defect-map validation error) is
-/// unchanged.
+/// The [`ExecutionEngine`](crate::ExecutionEngine) owns one — its only
+/// memo; [`SimulationPlatform::evaluate`](crate::SimulationPlatform::evaluate)
+/// routes through a [`StageCache::disabled`] instance, so its behaviour
+/// (including every defect-map validation error) is unchanged.
 #[derive(Debug)]
 pub struct StageCache {
     variability: MemoCache<VariabilityStage>,
@@ -457,7 +457,7 @@ pub struct StageCache {
     cave_yield: MemoCache<CaveYield>,
     crossbar_area: MemoCache<CrossbarArea>,
     defect_map: MemoCache<Option<DefectTally>>,
-    composite: MemoCache<PlatformReport>,
+    composite: ReportCache,
     monte_carlo: MemoCache<MonteCarloOutcome>,
 }
 
@@ -469,8 +469,7 @@ impl Default for StageCache {
 
 impl StageCache {
     /// Creates a stage cache where every stage's memo slot uses `config`
-    /// (the same clamping rules as [`ReportCache`](crate::ReportCache):
-    /// shards clamped to `1..=capacity`, capacity `0` disables storage).
+    /// (shards clamped to `1..=capacity`, capacity `0` disables storage).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         StageCache {
@@ -480,15 +479,15 @@ impl StageCache {
             cave_yield: MemoCache::new(config),
             crossbar_area: MemoCache::new(config),
             defect_map: MemoCache::new(config),
-            composite: MemoCache::new(config),
+            composite: ReportCache::new(config),
             monte_carlo: MemoCache::new(config),
         }
     }
 
     /// A cache that stores nothing: every stage lookup is a leader-path
-    /// miss that recomputes — the configuration behind the serial entry
-    /// points, which must stay bit- and error-identical to the pre-stage
-    /// monolith.
+    /// miss that recomputes — the configuration behind the platform's
+    /// uncached `evaluate*` methods, which must stay bit- and
+    /// error-identical to the pre-stage monolith.
     #[must_use]
     pub fn disabled() -> Self {
         StageCache::new(CacheConfig {
@@ -518,6 +517,13 @@ impl StageCache {
                 },
             })
             .collect()
+    }
+
+    /// The [`Stage::Composite`] slot: the report cache, with its snapshot
+    /// persistence.
+    #[must_use]
+    pub fn reports(&self) -> &ReportCache {
+        &self.composite
     }
 
     /// Total entries stored across every stage slot.
@@ -605,9 +611,7 @@ impl StageCache {
     where
         F: FnOnce() -> Result<PlatformReport>,
     {
-        let key = composite_stage_key(config);
-        self.composite
-            .get_or_compute(Stage::Composite.fingerprint(&key), &key, compute)
+        self.composite.get_or_compute(config, compute)
     }
 
     /// The Monte-Carlo slot keys on the stage key **plus** the sampling
@@ -761,7 +765,7 @@ mod tests {
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), Stage::ALL.len());
-        // And a stage fingerprint never equals the report-cache fingerprint
+        // And a stage fingerprint never equals the full-config fingerprint
         // of the same configuration (different domain tags).
         let report = crate::cache::ReportCache::fingerprint(&config);
         for stage in Stage::ALL {

@@ -6,9 +6,8 @@
 
 use crossbar_array::DefectModel;
 use decoder_sim::{
-    full_sweep, monte_carlo_addressability, monte_carlo_with_disturbance, DefectKind,
-    DisturbanceKind, EngineConfig, ExecutionEngine, GaussianDisturbance, MonteCarloConfig,
-    SimConfig, DEFAULT_CHUNK_SIZE,
+    DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, GaussianDisturbance,
+    MonteCarloConfig, SimConfig, DEFAULT_CHUNK_SIZE,
 };
 use device_physics::{DopingLadder, ThresholdModel, VariabilityModel, Volts};
 use mspt_fabrication::{PatternMatrix, VariabilityMatrix};
@@ -48,7 +47,9 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     let model = VariabilityModel::paper_default();
     let window = Volts::new(0.25);
     let config = MonteCarloConfig::fixed(1_000, 42);
-    let serial = monte_carlo_addressability(&variability, &model, window, config).unwrap();
+    let serial = ExecutionEngine::serial()
+        .monte_carlo_addressability(&variability, &model, window, config)
+        .unwrap();
     for threads in [1usize, 2, 4] {
         let parallel = engine(threads)
             .monte_carlo_addressability(&variability, &model, window, config)
@@ -98,7 +99,9 @@ fn full_sweep_is_element_identical_across_thread_counts() {
     let base = SimConfig::paper_defaults(code).unwrap();
     let kinds = [CodeKind::Tree, CodeKind::Gray, CodeKind::Hot];
     let lengths = [4usize, 6, 8];
-    let serial = full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths).unwrap();
+    let serial = ExecutionEngine::serial()
+        .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
+        .unwrap();
     for threads in [2usize, 4] {
         let parallel = engine(threads)
             .full_sweep(&base, &kinds, LogicLevel::BINARY, &lengths)
@@ -116,8 +119,9 @@ fn fixed_seed_outcome_is_pinned() {
     let variability = variability(CodeKind::Tree, 8, 10);
     let model = VariabilityModel::paper_default();
     let config = MonteCarloConfig::fixed(500, 42);
-    let outcome =
-        monte_carlo_addressability(&variability, &model, Volts::new(0.25), config).unwrap();
+    let outcome = ExecutionEngine::serial()
+        .monte_carlo_addressability(&variability, &model, Volts::new(0.25), config)
+        .unwrap();
     assert_eq!(outcome.samples, 500);
     let counts: Vec<usize> = outcome
         .profile
@@ -131,14 +135,15 @@ fn fixed_seed_outcome_is_pinned() {
     // The trait-based Gaussian path is the *same* path: explicitly threading
     // GaussianDisturbance must reproduce the pre-refactor RNG stream (and
     // therefore the pinned counts above) bit-for-bit.
-    let via_trait = monte_carlo_with_disturbance(
-        &variability,
-        &model,
-        Volts::new(0.25),
-        config,
-        &GaussianDisturbance,
-    )
-    .unwrap();
+    let via_trait = ExecutionEngine::serial()
+        .monte_carlo_with_disturbance(
+            &variability,
+            &model,
+            Volts::new(0.25),
+            config,
+            &GaussianDisturbance,
+        )
+        .unwrap();
     assert_eq!(outcome, via_trait);
 }
 
@@ -155,14 +160,15 @@ fn non_gaussian_disturbances_are_bit_identical_across_thread_counts() {
         },
     ] {
         let disturbance = kind.model().unwrap();
-        let serial = monte_carlo_with_disturbance(
-            &variability,
-            &model,
-            window,
-            config,
-            disturbance.as_ref(),
-        )
-        .unwrap();
+        let serial = ExecutionEngine::serial()
+            .monte_carlo_with_disturbance(
+                &variability,
+                &model,
+                window,
+                config,
+                disturbance.as_ref(),
+            )
+            .unwrap();
         for threads in [2usize, 4] {
             let parallel = engine(threads)
                 .monte_carlo_with_disturbance(

@@ -1,7 +1,7 @@
 //! Edge-case coverage for the sharded, bounded, single-flight report cache:
 //! degenerate capacities, LRU eviction order under interleaved hits,
 //! single-flight under contention, persistence round-trips and schema
-//! versioning (in both snapshot codecs), and disturbance-kind keying.
+//! versioning (in both snapshot codecs), and defect-selection keying.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -9,13 +9,19 @@ use std::thread;
 use std::time::Duration;
 
 use decoder_sim::{
-    CacheConfig, DisturbanceKind, ReportCache, SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
+    CacheConfig, DefectKind, ReportCache, SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
 fn config(kind: CodeKind, length: usize) -> SimConfig {
     let code = CodeSpec::new(kind, LogicLevel::BINARY, length).unwrap();
     SimConfig::paper_defaults(code).unwrap()
+}
+
+/// `config` under a sampled defect selection with the given seed — a
+/// field the report depends on, so every seed is its own cache entry.
+fn defective(config: SimConfig, seed: u64) -> SimConfig {
+    config.with_defects(DefectKind::sampled(0.02, 0.01, seed).unwrap())
 }
 
 fn evaluate(config: &SimConfig) -> decoder_sim::Result<decoder_sim::PlatformReport> {
@@ -162,20 +168,20 @@ fn a_panicking_leader_never_wedges_the_fingerprint() {
 #[test]
 fn persistence_round_trips_bit_identically() {
     let cache = ReportCache::new(CacheConfig::default());
-    let gaussian = config(CodeKind::Tree, 8);
-    let laplace = config(CodeKind::Tree, 8).with_disturbance(DisturbanceKind::Laplace);
+    let clean = config(CodeKind::Tree, 8);
+    let sampled = defective(config(CodeKind::Tree, 8), 2_009);
     let gray = config(CodeKind::Gray, 10);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&clean, &sampled, &gray] {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
     let snapshot = cache.snapshot_json();
 
     let restored = ReportCache::new(CacheConfig::default());
     assert_eq!(restored.load_snapshot(&snapshot).unwrap(), 3);
-    // Same-config/different-disturbance entries never alias: all three
-    // survive the round trip as distinct entries.
+    // Same-config/different-defect entries never alias: all three survive
+    // the round trip as distinct entries.
     assert_eq!(restored.len(), 3);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&clean, &sampled, &gray] {
         assert!(restored.contains(entry));
         let original = cache
             .get_or_compute(entry, || unreachable!("warm"))
@@ -197,10 +203,10 @@ fn persistence_round_trips_bit_identically() {
 #[test]
 fn binary_snapshots_round_trip_and_agree_with_json() {
     let cache = ReportCache::new(CacheConfig::default());
-    let gaussian = config(CodeKind::Tree, 8);
-    let laplace = config(CodeKind::Tree, 8).with_disturbance(DisturbanceKind::Laplace);
+    let clean = config(CodeKind::Tree, 8);
+    let sampled = defective(config(CodeKind::Tree, 8), 2_009);
     let gray = config(CodeKind::Gray, 10);
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&clean, &sampled, &gray] {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
 
@@ -220,7 +226,7 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
     // Whichever codec carried the rows, the restored caches are
     // indistinguishable: same canonical JSON snapshot, bit for bit.
     assert_eq!(restored_bin.snapshot_json(), restored_json.snapshot_json());
-    for entry in [&gaussian, &laplace, &gray] {
+    for entry in [&clean, &sampled, &gray] {
         let original = cache
             .get_or_compute(entry, || unreachable!("warm"))
             .unwrap();
@@ -238,15 +244,13 @@ fn binary_snapshots_round_trip_and_agree_with_json() {
 #[test]
 fn binary_snapshots_are_at_least_40_percent_smaller_at_64_entries() {
     // One evaluated report re-keyed under 64 distinct configurations (the
-    // correlated shared fraction is part of the cache identity), so the
-    // size comparison does not need 64 evaluations.
+    // defect seed is part of the cache identity), so the size comparison
+    // does not need 64 evaluations.
     let cache = ReportCache::new(CacheConfig::unsharded(64));
     let base = config(CodeKind::Tree, 8);
     let report = evaluate(&base).unwrap();
-    for index in 0..64u32 {
-        let entry = base.clone().with_disturbance(DisturbanceKind::Correlated {
-            shared_fraction: f64::from(index) / 128.0,
-        });
+    for index in 0..64u64 {
+        let entry = defective(base.clone(), index);
         cache.get_or_compute(&entry, || Ok(report.clone())).unwrap();
     }
     assert_eq!(cache.len(), 64);
