@@ -1,7 +1,10 @@
 //! The batched adaptive Monte-Carlo kernel against its two ablations: a
 //! fixed sampling budget on the same tight-window config (what the adaptive
 //! stopping rule saves), and the scalar row-by-row Gaussian path (what the
-//! structure-of-arrays `NormalSource::fill` kernel saves). A counting
+//! structure-of-arrays `NormalSource::fill` kernel saves). Every row draws
+//! its normals from the ziggurat sampler behind `NormalSource`; the
+//! Box–Muller reference kernel lives in
+//! `crates/sim/tests/kernel_agreement.rs`. A counting
 //! global allocator reports the steady-state allocations per sampling call,
 //! pinning the scratch-reuse contract: chunk buffers live on the engine's
 //! worker threads, not in the inner loop.

@@ -124,9 +124,10 @@ impl Gaussian {
     /// # Errors
     ///
     /// Returns [`PhysicsError::InvalidDistribution`] when `half_width` is
-    /// negative.
+    /// negative or NaN.
     pub fn probability_within_window(&self, half_width: f64) -> Result<f64> {
-        if half_width < 0.0 {
+        // NaN is rejected with the negatives; `+∞` stays valid.
+        if half_width.is_nan() || half_width < 0.0 {
             return Err(PhysicsError::InvalidDistribution {
                 reason: format!("negative window half-width {half_width}"),
             });
@@ -202,6 +203,14 @@ mod tests {
         // Zero window has zero probability (continuous distribution).
         assert!(g.probability_within_window(0.0).unwrap() < 1e-12);
         assert!(g.probability_within_window(-0.1).is_err());
+    }
+
+    #[test]
+    fn nan_window_half_widths_are_rejected() {
+        let g = Gaussian::new(0.25, 0.05).unwrap();
+        assert!(g.probability_within_window(f64::NAN).is_err());
+        // An unbounded window is valid and accepts everything.
+        assert_eq!(g.probability_within_window(f64::INFINITY).unwrap(), 1.0);
     }
 
     #[test]

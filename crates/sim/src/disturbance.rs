@@ -7,11 +7,12 @@
 //! implementations:
 //!
 //! * [`GaussianDisturbance`] — the paper's model, and the default. Draws one
-//!   standard normal per region; **bit-identical** to the pre-trait sampler
-//!   (the fixed-seed regression in `tests/engine_equivalence.rs` pins this).
-//! * [`LaplaceDisturbance`] — heavy-tailed dose noise via the inverse CDF,
-//!   scaled to the same per-region variance `σ²` as the Gaussian so the two
-//!   differ only in tail shape. One uniform per region.
+//!   standard normal per region (the fixed-seed regression in
+//!   `tests/engine_equivalence.rs` pins the resulting counts).
+//! * [`LaplaceDisturbance`] — heavy-tailed dose noise from the sampler's
+//!   exponential ziggurat, scaled to the same per-region variance `σ²` as the
+//!   Gaussian so the two differ only in tail shape. One Laplace draw per
+//!   region.
 //! * [`CorrelatedDisturbance`] — a shared per-nanowire offset plus
 //!   independent per-region noise (systematic dose drift on top of local
 //!   randomness). `1 + M` normals per nanowire of `M` regions.
@@ -19,11 +20,14 @@
 //! # Fixed-consumption contract
 //!
 //! Whatever the distribution, a model must draw a **fixed number** of values
-//! from the source per nanowire, depending only on the region count — never
-//! on the sampled values, the window, or the acceptance outcome. This is the
-//! same common-random-numbers discipline the Gaussian sampler documents in
-//! [`crate::monte_carlo`]: it keeps chunked sampling bit-identical for any
-//! thread count and makes same-seed comparisons across windows exact.
+//! from the source per nanowire, depending only on the region count. Each
+//! value may take a varying number of raw words (the ziggurat retries on a
+//! rejection), but that number depends only on the seed and the values
+//! drawn. Consumption therefore never depends on σ, the window, or the
+//! acceptance outcome. This is the same common-random-numbers discipline
+//! [`crate::monte_carlo`] documents: it keeps chunked sampling
+//! bit-identical for any thread count and makes same-seed comparisons
+//! across windows exact.
 //!
 //! [`DisturbanceKind`] is the serializable, config-friendly enumeration of
 //! the stock models; custom models plug in through
@@ -41,7 +45,9 @@ use crate::monte_carlo::NormalSource;
 /// nanowire at a time.
 ///
 /// Implementations must obey the module-level fixed-consumption contract:
-/// the number of draws taken from `draws` may depend only on `sigmas.len()`.
+/// the number of values drawn from `draws` may depend only on
+/// `sigmas.len()`, and what they consume only on the seed and the values
+/// drawn — never on σ, the window or the acceptance outcome.
 ///
 /// # Examples
 ///
@@ -116,7 +122,7 @@ pub trait DisturbanceModel: fmt::Debug + Send + Sync {
 
 /// The paper's Gaussian disturbance: region `j` deviates by `σ_j · Z` with
 /// `Z` standard normal. Draws exactly one normal per region, in region
-/// order — the identical stream the pre-trait sampler consumed.
+/// order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaussianDisturbance;
 
@@ -145,22 +151,18 @@ impl DisturbanceModel for GaussianDisturbance {
     }
 }
 
-/// Heavy-tailed Laplace dose noise, sampled by inverse CDF from one uniform
-/// per region and scaled to variance `σ_j²` (Laplace scale `b = σ/√2`), so it
-/// is directly comparable to [`GaussianDisturbance`]: same second moment,
-/// fatter tails (excess kurtosis 3).
+/// Heavy-tailed Laplace dose noise: one unit-scale Laplace draw per region
+/// (the symmetric exponential ziggurat of [`NormalSource`]) scaled to
+/// variance `σ_j²` (Laplace scale `b = σ/√2`), so it is directly comparable
+/// to [`GaussianDisturbance`]: same second moment, fatter tails (excess
+/// kurtosis 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaplaceDisturbance;
 
 impl DisturbanceModel for LaplaceDisturbance {
     fn sample_regions(&self, sigmas: &[f64], draws: &mut NormalSource<StdRng>, out: &mut [f64]) {
         for (slot, &sigma) in out.iter_mut().zip(sigmas) {
-            // Inverse CDF of the centred Laplace with scale b:
-            // x = -b·sgn(t)·ln(1 − 2|t|), t = u − ½ ∈ [−½, ½).
-            let t = draws.uniform() - 0.5;
-            let scale = sigma / std::f64::consts::SQRT_2;
-            let arg = (1.0 - 2.0 * t.abs()).max(f64::MIN_POSITIVE);
-            *slot = -scale * t.signum() * arg.ln();
+            *slot = sigma * std::f64::consts::FRAC_1_SQRT_2 * draws.laplace();
         }
     }
 }
@@ -391,8 +393,8 @@ mod tests {
             let mut scalar = NormalSource::from_seed(55);
             let mut batched_out = [0.0f64; 12];
             let mut scalar_out = [0.0f64; 12];
-            // Two consecutive matrices: the cached Box–Muller half must
-            // carry across batch calls exactly as it does across rows.
+            // Two consecutive matrices: the stream position must carry
+            // across batch calls exactly as it does across rows.
             for _ in 0..2 {
                 model.sample_matrix(&sigmas, regions, &mut batched, &mut batched_out);
                 for (row_sigmas, row_out) in sigmas

@@ -23,11 +23,14 @@
 //!
 //! Every region's deviation is drawn **unconditionally**: a sample consumes
 //! exactly `M` normals per nanowire whether or not an early region already
-//! fell outside the window. RNG consumption therefore never depends on the
-//! window or the acceptance outcome, so two runs with the same seed see the
-//! *same* deviations and differ only in the accept/reject decision. That
-//! makes common-random-number comparisons (wider window ⇒ supersets of
-//! accepted samples, per nanowire) exact instead of statistical.
+//! fell outside the window. Each normal comes from the ziggurat of
+//! [`NormalSource`], which takes one word per accepted draw and retries on a
+//! rejection, so the words consumed depend only on the seed and the values
+//! drawn — never on σ, the window or the acceptance outcome. Two runs with
+//! the same seed therefore see the *same* deviations and differ only in the
+//! accept/reject decision. That makes common-random-number comparisons
+//! (wider window ⇒ supersets of accepted samples, per nanowire) exact
+//! instead of statistical.
 //!
 //! # Adaptive stopping
 //!
@@ -38,6 +41,9 @@
 //! determinism argument. The stopping decision is evaluated in chunk order
 //! over thread-independent per-chunk counts, so `samples_used` and the
 //! resulting profile are bit-identical at any thread count.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -240,7 +246,8 @@ pub(crate) fn validate_monte_carlo(config: &MonteCarloConfig, window: Volts) -> 
             reason: "Monte-Carlo estimation needs at least one sample".to_string(),
         });
     }
-    if window.value() < 0.0 {
+    // NaN is rejected with the negatives; `+∞` stays valid.
+    if window.value().is_nan() || window.value() < 0.0 {
         return Err(SimError::InvalidConfig {
             reason: format!("decision window must be non-negative, got {window}"),
         });
@@ -346,10 +353,9 @@ impl McScratch {
 /// Every region deviation is drawn unconditionally (no early exit), so the
 /// chunk consumes exactly the disturbance model's fixed per-nanowire draw
 /// count regardless of the window — the fixed-consumption discipline the
-/// module docs describe. Under [`GaussianDisturbance`] the consumed stream
-/// is bit-identical to the pre-trait sampler: one normal per region, in
-/// region order (the whole-matrix batch draw consumes the identical
-/// sequence, because row-major order *is* the sequential order).
+/// module docs describe. Under [`GaussianDisturbance`] that is one normal
+/// per region, in region order (the whole-matrix batch draw consumes the
+/// identical sequence, because row-major order *is* the sequential order).
 ///
 /// [`GaussianDisturbance`]: crate::disturbance::GaussianDisturbance
 pub(crate) fn sample_chunk(
@@ -387,17 +393,111 @@ pub(crate) fn sample_chunk(
     counts
 }
 
-/// A standard-normal sampler over any uniform generator, via the Box–Muller
-/// transform (the workspace only depends on `rand`, which provides uniform
-/// sampling).
+/// Layers per ziggurat table: Marsaglia & Tsang's 256, so the low 8 bits
+/// of a draw pick one.
+const ZIGGURAT_LAYERS: usize = 256;
+
+/// Right edge `R` of the normal table's base layer, where its tail begins.
+const NORMAL_R: f64 = 3.654_152_885_361_009;
+/// Area `V` of every layer of the normal table (density `e^{−x²/2}`).
+const NORMAL_V: f64 = 0.004_928_673_233_99;
+/// Right edge `R` of the exponential table's base layer
+/// (Marsaglia & Tsang's 7.69711747013104972).
+const EXPONENTIAL_R: f64 = 7.697_117_470_131_05;
+/// Area `V` of every layer of the exponential table (density `e^{−x}`;
+/// Marsaglia & Tsang's 0.0039496598225815571993).
+const EXPONENTIAL_V: f64 = 0.003_949_659_822_581_557;
+
+/// The normal table's unnormalised density.
+fn normal_pdf(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+/// The exponential table's density.
+fn exponential_pdf(x: f64) -> f64 {
+    (-x).exp()
+}
+
+/// One ziggurat over an unnormalised, decreasing density `f` on `[0, ∞)`.
 ///
-/// Each transform produces a *pair* of independent normals; the sine half is
-/// cached and served by the next call, so the source consumes two uniforms
-/// per two normals instead of discarding half of every pair.
+/// Layer `i ≥ 1` is the box `[0, x[i]] × [f(x[i]), f(x[i+1])]`, of area
+/// `V`. The base layer (`i = 0`) is the box `[0, R] × [0, f(R)]` plus the
+/// tail beyond `x[1] = R`, also of area `V`, stretched to the virtual width
+/// `x[0] = V / f(R)`. `x[256] = 0` closes the top layer at the mode, and
+/// `f[i] = f(x[i])`.
+struct Ziggurat {
+    x: [f64; ZIGGURAT_LAYERS + 1],
+    f: [f64; ZIGGURAT_LAYERS + 1],
+}
+
+impl Ziggurat {
+    /// Builds the edges downward from `R` by the equal-area recurrence
+    /// `x[i+1] = f⁻¹(f(x[i]) + V / x[i])`; the last edge is pinned to the
+    /// mode instead, so rounding can never push `f⁻¹` past `f(0)`.
+    fn build(r: f64, v: f64, pdf: fn(f64) -> f64, inverse_pdf: fn(f64) -> f64) -> Ziggurat {
+        let mut x = [0.0; ZIGGURAT_LAYERS + 1];
+        x[0] = v / pdf(r);
+        x[1] = r;
+        for i in 1..ZIGGURAT_LAYERS - 1 {
+            x[i + 1] = inverse_pdf(pdf(x[i]) + v / x[i]);
+        }
+        Ziggurat { x, f: x.map(pdf) }
+    }
+}
+
+/// The normal and exponential ziggurats (about 8 KB together), computed
+/// from their `(R, V)` once per process.
+struct ZigguratTables {
+    normal: Ziggurat,
+    exponential: Ziggurat,
+}
+
+impl ZigguratTables {
+    /// The process-wide tables, built on first use.
+    fn get() -> &'static ZigguratTables {
+        static TABLES: OnceLock<ZigguratTables> = OnceLock::new();
+        TABLES.get_or_init(|| ZigguratTables {
+            normal: Ziggurat::build(NORMAL_R, NORMAL_V, normal_pdf, |y| (-2.0 * y.ln()).sqrt()),
+            exponential: Ziggurat::build(EXPONENTIAL_R, EXPONENTIAL_V, exponential_pdf, |y| {
+                -y.ln()
+            }),
+        })
+    }
+}
+
+impl fmt::Debug for ZigguratTables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ZigguratTables").finish_non_exhaustive()
+    }
+}
+
+/// The top 52 bits of `bits` as a uniform on the open interval `(−1, 1)`:
+/// the odd multiples of `2⁻⁵²`, symmetric about zero and never zero, so a
+/// draw's sign is always defined. The layer index uses the low 8 bits, so
+/// the two never share a bit.
+fn symmetric_unit(bits: u64) -> f64 {
+    let top = (bits >> 12) as i64;
+    (2 * top + 1 - (1 << 52)) as f64 * f64::EPSILON
+}
+
+/// A standard-normal sampler over any uniform generator, via a 256-layer
+/// symmetric ziggurat (Marsaglia & Tsang, *J. Stat. Softw.* 5(8), 2000; the
+/// workspace only depends on `rand`, which provides uniform sampling).
+///
+/// A draw takes one `u64`: its low 8 bits pick a layer and its top 52 bits
+/// a symmetric uniform `u ∈ (−1, 1)`. About 99 % of draws land inside the
+/// layer's core box and return `u · x[layer]` after one compare. The rest
+/// take one more uniform for the wedge test, or go to the tail sampler from
+/// the base layer, and start over when rejected. How many words a draw
+/// consumes therefore depends only on the stream itself — the seed and the
+/// values drawn — never on what the caller does with the value.
+///
+/// The tables are built once per process from `(R, V)` and borrowed when
+/// the source is built, so no draw touches the lazy initialiser.
 #[derive(Debug, Clone)]
 pub struct NormalSource<R: Rng> {
     rng: R,
-    cached: Option<f64>,
+    tables: &'static ZigguratTables,
 }
 
 impl NormalSource<StdRng> {
@@ -413,68 +513,89 @@ impl<R: Rng> NormalSource<R> {
     /// Wraps a uniform generator.
     #[must_use]
     pub fn new(rng: R) -> Self {
-        NormalSource { rng, cached: None }
+        NormalSource {
+            rng,
+            tables: ZigguratTables::get(),
+        }
     }
 
     /// Draws one uniform value in `[0, 1)` straight from the underlying
     /// generator — the primitive inverse-CDF disturbance models build on.
-    ///
-    /// Bypasses (and leaves untouched) the cached Box–Muller half, so a
-    /// model mixing [`NormalSource::sample`] and [`NormalSource::uniform`]
-    /// calls still consumes the underlying stream deterministically.
+    /// It takes exactly one word, so a model mixing
+    /// [`NormalSource::sample`] and [`NormalSource::uniform`] calls still
+    /// consumes the underlying stream deterministically.
     pub fn uniform(&mut self) -> f64 {
         self.rng.gen::<f64>()
     }
 
-    /// One full Box–Muller transform: the `(cos, sin)` pair of independent
-    /// standard normals from the next two accepted uniforms, bypassing the
-    /// cache entirely.
-    fn pair(&mut self) -> (f64, f64) {
+    /// One uniform in `(0, 1]`, safe to take the logarithm of.
+    fn positive_uniform(&mut self) -> f64 {
+        1.0 - self.uniform()
+    }
+
+    /// One symmetric draw from `table`, whose unnormalised density is `pdf`;
+    /// `tail` samples `|x|` beyond `R` when the base layer's box misses.
+    fn ziggurat(
+        &mut self,
+        table: &Ziggurat,
+        pdf: impl Fn(f64) -> f64,
+        tail: impl Fn(&mut Self) -> f64,
+    ) -> f64 {
         loop {
-            let u1: f64 = self.rng.gen::<f64>();
-            let u2: f64 = self.rng.gen::<f64>();
-            if u1 > f64::MIN_POSITIVE {
-                let radius = (-2.0 * u1.ln()).sqrt();
-                let angle = 2.0 * std::f64::consts::PI * u2;
-                return (radius * angle.cos(), radius * angle.sin());
+            let bits = self.rng.gen::<u64>();
+            let layer = (bits & 0xff) as usize;
+            let u = symmetric_unit(bits);
+            let x = u * table.x[layer];
+            if x.abs() < table.x[layer + 1] {
+                return x;
+            }
+            if layer == 0 {
+                return tail(self).copysign(u);
+            }
+            // The wedge: accept when a uniform height inside the layer lies
+            // under the curve.
+            let (low, high) = (table.f[layer], table.f[layer + 1]);
+            if low + (high - low) * self.uniform() < pdf(x.abs()) {
+                return x;
+            }
+        }
+    }
+
+    /// Marsaglia's normal tail beyond `R`: `R + a` with `a = −ln U₁ / R`,
+    /// accepted when `−2 ln U₂ > a²`.
+    fn normal_tail(&mut self) -> f64 {
+        loop {
+            let a = -self.positive_uniform().ln() / NORMAL_R;
+            let b = -self.positive_uniform().ln();
+            if b + b > a * a {
+                return NORMAL_R + a;
             }
         }
     }
 
     /// Draws one standard-normal value (zero mean, unit variance).
     pub fn sample(&mut self) -> f64 {
-        if let Some(z) = self.cached.take() {
-            return z;
-        }
-        let (cos, sin) = self.pair();
-        self.cached = Some(sin);
-        cos
+        let tables = self.tables;
+        self.ziggurat(&tables.normal, normal_pdf, Self::normal_tail)
+    }
+
+    /// Draws one unit-scale Laplace value (density `½e^{−|x|}`, variance 2)
+    /// from the exponential table used symmetrically. Its tail beyond `R`
+    /// is `R + Exp(1)`, since the exponential is memoryless.
+    pub(crate) fn laplace(&mut self) -> f64 {
+        let tables = self.tables;
+        self.ziggurat(&tables.exponential, exponential_pdf, |source| {
+            EXPONENTIAL_R - source.positive_uniform().ln()
+        })
     }
 
     /// Fills `out` with standard normals, consuming the underlying stream
-    /// **exactly** as `out.len()` successive [`NormalSource::sample`] calls
-    /// would: any cached half is served first, whole transforms fill the
-    /// interior pairwise, and a trailing odd slot caches its sine half for
-    /// the next draw. Batch callers (the structure-of-arrays sampling loop)
-    /// and scalar callers therefore see bit-identical streams.
+    /// exactly as `out.len()` successive [`NormalSource::sample`] calls
+    /// would, so batch callers (the structure-of-arrays sampling loop) and
+    /// scalar callers see bit-identical streams.
     pub fn fill(&mut self, out: &mut [f64]) {
-        let mut index = 0;
-        if index < out.len() {
-            if let Some(z) = self.cached.take() {
-                out[index] = z;
-                index += 1;
-            }
-        }
-        while out.len() - index >= 2 {
-            let (cos, sin) = self.pair();
-            out[index] = cos;
-            out[index + 1] = sin;
-            index += 2;
-        }
-        if index < out.len() {
-            let (cos, sin) = self.pair();
-            out[index] = cos;
-            self.cached = Some(sin);
+        for slot in out {
+            *slot = self.sample();
         }
     }
 }
@@ -499,6 +620,7 @@ pub fn max_profile_difference(
 mod tests {
     use super::*;
     use crate::engine::ExecutionEngine;
+    use crate::{SimConfig, SimulationPlatform};
     use device_physics::{DopingLadder, ThresholdModel};
     use mspt_fabrication::PatternMatrix;
     use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -583,6 +705,40 @@ mod tests {
     }
 
     #[test]
+    fn nan_windows_are_rejected_on_every_path() {
+        let code = CodeSpec::new(CodeKind::Gray, LogicLevel::BINARY, 8).unwrap();
+        let config = SimConfig::paper_defaults(code)
+            .unwrap()
+            .with_window(Volts::new(f64::NAN));
+        let engine = ExecutionEngine::serial();
+        assert!(matches!(
+            engine.monte_carlo_for_config(&config, MonteCarloConfig::fixed(256, 1)),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        let analytic = SimulationPlatform::new(config.clone()).addressability();
+        assert!(analytic.is_err(), "{analytic:?}");
+        assert!(engine.report_for(&config).is_err());
+        let variability = variability(CodeKind::Tree, 6, 8);
+        assert!(engine
+            .monte_carlo_addressability(
+                &variability,
+                &VariabilityModel::paper_default(),
+                Volts::new(f64::NAN),
+                MonteCarloConfig::fixed(256, 1),
+            )
+            .is_err());
+
+        // An unbounded window stays valid and accepts every sample.
+        let open = config.with_window(Volts::new(f64::INFINITY));
+        let sampled = engine
+            .monte_carlo_for_config(&open, MonteCarloConfig::fixed(256, 1))
+            .unwrap();
+        assert!(sampled.profile.probabilities().iter().all(|&p| p == 1.0));
+        let analytic = SimulationPlatform::new(open).addressability().unwrap();
+        assert!(analytic.probabilities().iter().all(|&p| p == 1.0));
+    }
+
+    #[test]
     fn invalid_adaptive_parameters_are_rejected() {
         let variability = variability(CodeKind::Tree, 6, 8);
         let model = VariabilityModel::paper_default();
@@ -657,27 +813,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_source_serves_both_box_muller_halves() {
-        // The cosine and sine halves of one transform come from the same two
-        // uniforms: two fresh sources produce pairwise-equal radii.
-        let mut a = NormalSource::from_seed(99);
-        let mut b = NormalSource::from_seed(99);
-        let first = a.sample();
-        let second = a.sample();
-        let radius = (first * first + second * second).sqrt();
-        assert!(radius > 0.0);
-        // Same stream, same values: the pair is deterministic.
-        assert_eq!(b.sample(), first);
-        assert_eq!(b.sample(), second);
-        // And consuming the pair advanced the underlying RNG only once
-        // (two uniforms): the third sample starts a new transform.
-        assert_ne!(a.sample(), first);
-    }
-
-    #[test]
     fn fill_replays_the_scalar_sample_stream_exactly() {
-        // Odd lengths, even lengths, and a pre-primed cache: the batch API
-        // must consume the stream bit-identically to scalar sampling.
+        // Odd lengths, even lengths, and a source already part-way through
+        // its stream: the batch API must consume the stream bit-identically
+        // to scalar sampling.
         for (prime, lengths) in [
             (false, vec![5usize, 4, 1, 6]),
             (true, vec![2usize, 7, 3]),
@@ -695,8 +834,105 @@ mod tests {
                     assert_eq!(value, scalar.sample(), "slot {i} of fill({len})");
                 }
             }
-            // The caches end in the same state: the next draws agree too.
+            // The streams end in the same state: the next draws agree too.
             assert_eq!(batch.sample(), scalar.sample());
+        }
+    }
+
+    /// `∫_a^b f` by composite Simpson's rule over `steps` (even) intervals.
+    fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, steps: usize) -> f64 {
+        let h = (b - a) / steps as f64;
+        let inner: f64 = (1..steps)
+            .map(|k| f(a + k as f64 * h) * if k % 2 == 1 { 4.0 } else { 2.0 })
+            .sum();
+        (f(a) + inner + f(b)) * h / 3.0
+    }
+
+    #[test]
+    fn every_ziggurat_layer_has_area_v_and_the_edges_decrease() {
+        let tables = ZigguratTables::get();
+        // The tail mass beyond R, computed independently of the tables:
+        // numerically for the normal, in closed form for the exponential.
+        let normal_tail = simpson(normal_pdf, NORMAL_R, NORMAL_R + 30.0, 200_000);
+        let exponential_tail = (-EXPONENTIAL_R).exp();
+        for (name, table, r, v, tail) in [
+            ("normal", &tables.normal, NORMAL_R, NORMAL_V, normal_tail),
+            (
+                "exponential",
+                &tables.exponential,
+                EXPONENTIAL_R,
+                EXPONENTIAL_V,
+                exponential_tail,
+            ),
+        ] {
+            assert_eq!(table.x[1], r);
+            assert_eq!(table.x[ZIGGURAT_LAYERS], 0.0);
+            let base = r * table.f[1] + tail;
+            assert!(
+                ((base - v) / v).abs() < 1e-8,
+                "{name}: base layer area {base} vs V {v}"
+            );
+            for layer in 1..ZIGGURAT_LAYERS {
+                let area = table.x[layer] * (table.f[layer + 1] - table.f[layer]);
+                assert!(
+                    ((area - v) / v).abs() < 1e-8,
+                    "{name}: layer {layer} area {area} vs V {v}"
+                );
+            }
+            for (layer, pair) in table.x.windows(2).enumerate() {
+                assert!(pair[0] > pair[1], "{name}: edge {layer} does not decrease");
+            }
+        }
+    }
+
+    /// Asserts that `hits` of `draws` is within 6 binomial standard errors
+    /// of `draws · p`.
+    fn assert_binomial(label: &str, hits: usize, draws: usize, p: f64) {
+        let expected = draws as f64 * p;
+        let sigma = (expected * (1.0 - p)).sqrt();
+        assert!(
+            (hits as f64 - expected).abs() < 6.0 * sigma,
+            "{label}: {hits} of {draws}, expected {expected:.1} ± {sigma:.1}"
+        );
+    }
+
+    #[test]
+    fn normal_tail_probabilities_match_the_gaussian() {
+        const DRAWS: usize = 1 << 22;
+        // P(|Z| > t) = erfc(t / √2); t = R exercises the tail branch.
+        let cases = [
+            (1.96, 0.049_995_790_296_440_87),
+            (3.0, 0.002_699_796_063_260_191),
+            (NORMAL_R, 0.000_258_032_487_653_901_3),
+        ];
+        let mut hits = [0usize; 3];
+        let mut normals = NormalSource::from_seed(0x21_6775);
+        for _ in 0..DRAWS {
+            let z = normals.sample().abs();
+            for (hit, &(t, _)) in hits.iter_mut().zip(&cases) {
+                *hit += usize::from(z > t);
+            }
+        }
+        for (&hit, &(t, p)) in hits.iter().zip(&cases) {
+            assert_binomial(&format!("P(|Z| > {t})"), hit, DRAWS, p);
+        }
+    }
+
+    #[test]
+    fn laplace_tail_probabilities_are_exponential() {
+        const DRAWS: usize = 1 << 22;
+        // P(|X| > t) = e^{-t} for the unit Laplace; t = 8 lies past R.
+        let thresholds = [1.0, 3.0, 8.0];
+        let mut hits = [0usize; 3];
+        let mut draws = NormalSource::from_seed(0x1a_9ace);
+        for _ in 0..DRAWS {
+            let x = draws.laplace().abs();
+            for (hit, &t) in hits.iter_mut().zip(&thresholds) {
+                *hit += usize::from(x > t);
+            }
+        }
+        for (&hit, &t) in hits.iter().zip(&thresholds) {
+            assert_binomial(&format!("P(|X| > {t})"), hit, DRAWS, (-t).exp());
         }
     }
 

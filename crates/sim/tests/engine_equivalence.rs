@@ -111,9 +111,10 @@ fn full_sweep_is_element_identical_across_thread_counts() {
 }
 
 /// Pins the exact per-nanowire acceptance counts for a fixed seed. Any change
-/// to the RNG discipline — chunk seeding, Box–Muller pair handling, draw
-/// order, chunk size — shows up here as a loud, exact failure rather than a
-/// silent statistical drift.
+/// to the RNG discipline — chunk seeding, the ziggurat's bit layout or
+/// tables, draw order, chunk size — shows up here as a loud, exact failure
+/// rather than a silent statistical drift. (The statistical proof that the
+/// ziggurat samples the right distribution lives in `kernel_agreement.rs`.)
 #[test]
 fn fixed_seed_outcome_is_pinned() {
     let variability = variability(CodeKind::Tree, 8, 10);
@@ -129,11 +130,11 @@ fn fixed_seed_outcome_is_pinned() {
         .iter()
         .map(|p| (p * 500.0).round() as usize)
         .collect();
-    let pinned: Vec<usize> = vec![373, 394, 405, 421, 453, 476, 487, 494, 500, 500];
+    let pinned: Vec<usize> = vec![368, 384, 423, 425, 452, 465, 486, 499, 500, 500];
     assert_eq!(counts, pinned, "probabilities: {:?}", outcome.profile);
 
     // The trait-based Gaussian path is the *same* path: explicitly threading
-    // GaussianDisturbance must reproduce the pre-refactor RNG stream (and
+    // GaussianDisturbance must reproduce the default RNG stream (and
     // therefore the pinned counts above) bit-for-bit.
     let via_trait = ExecutionEngine::serial()
         .monte_carlo_with_disturbance(
