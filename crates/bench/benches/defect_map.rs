@@ -1,18 +1,17 @@
-//! Serial vs engine-sharded defect-map generation: the same independently
-//! seeded band layout assembled by one thread or many — bit-identical maps
-//! at every thread count, only the wall-clock changes. Plus the end-to-end
-//! cost of a defect-composed report: map sampling + composition on top of
-//! the decoder evaluation. And the two defect layers of the request path at
-//! the served edge: drawing one map serially, and counting its usable
-//! crosspoints.
+//! The two defect layers of the request path, drawing one map and counting
+//! its usable crosspoints, plus the end-to-end cost of a defect-composed
+//! report: map sampling + composition on top of the decoder evaluation.
+//! A map is drawn inline by `DefectModel::sample_map`, 64 crosspoints per
+//! packed word, so the bench has one serial row per map size and no
+//! thread-count rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crossbar_array::DefectModel;
 use decoder_sim::{DefectKind, EngineConfig, ExecutionEngine, SimConfig, DEFAULT_CHUNK_SIZE};
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
-/// Crossbar edge used by the bench: 768 × 768 crosspoints spans twelve
-/// 64-row bands, enough for the sharding to matter.
+/// A larger crossbar edge than the served one: 768 × 768 crosspoints, a
+/// whole number of packed words per row.
 const EDGE: usize = 768;
 
 /// Crossbar edge a defect-configured report samples: the paper's 10-bit
@@ -26,19 +25,6 @@ fn bench_defect_map(c: &mut Criterion) {
     group.bench_function("serial_sample_map", |b| {
         b.iter(|| model.sample_map(EDGE, EDGE, 42).expect("map"))
     });
-    for threads in [1usize, 2, 4, 8] {
-        let engine = ExecutionEngine::new(EngineConfig {
-            threads,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-        });
-        group.bench_function(format!("engine_{threads}_threads"), |b| {
-            b.iter(|| {
-                engine
-                    .sample_defect_map(&model, EDGE, EDGE, 42)
-                    .expect("map")
-            })
-        });
-    }
     group.finish();
 }
 

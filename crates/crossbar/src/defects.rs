@@ -14,53 +14,59 @@
 //! Both defect types are independent of the decoder-induced losses, so the
 //! composite crossbar yield is the product of the three factors.
 //!
-//! # Chunked map layout (determinism contract)
-//!
-//! [`DefectModel::sample_map`] draws a map not from one long RNG stream but
-//! from **independently seeded chunks**, so map generation can be sharded
-//! across threads (see `decoder_sim::ExecutionEngine::sample_defect_map`)
-//! while staying bit-identical for any thread count:
-//!
-//! * chunk `0` — the row-breakage vector;
-//! * chunk `1` — the column-breakage vector;
-//! * chunk `2 + b` — band `b` of the crosspoint-defect matrix, covering rows
-//!   `b · DEFECT_BAND_ROWS .. (b + 1) · DEFECT_BAND_ROWS`.
-//!
-//! Chunk `c` is seeded [`chunk_seed`]`(seed ^ DOMAIN, c)`, where `DOMAIN` is
-//! a fixed defect-map tag: a Monte-Carlo estimation and a defect map sharing
-//! one run seed therefore draw from *decorrelated* streams instead of
-//! replaying each other's uniforms.
-//!
-//! Every chunk consumes a fixed number of uniforms (one per nanowire or
-//! crosspoint it covers), so the map depends only on `(rates, rows, columns,
-//! seed)` — never on which thread samples which chunk, and never on the
-//! defect rates steering RNG consumption. One uniform per crosspoint, always.
-//!
 //! # Packed layout
 //!
 //! The crosspoint-defect matrix is stored as `u64` bit rows: with
 //! `w = columns.div_ceil(64)` words per row, row `r` is words
 //! `r · w .. (r + 1) · w`, column `c` is bit `c % 64` of that row's word
-//! `c / 64`, and the padding bits past the last column are zero. A band
-//! chunk fills each word in registers, 64 draws at a time, and
+//! `c / 64`, and the padding bits past the last column are zero.
 //! [`DefectMap::usable_fraction`] counts the usable crosspoints of an intact
 //! row as `Σ popcount(!defective & live_columns)` over its words.
 //!
-//! # Integer-threshold draws
+//! # Bit-plane draws
 //!
-//! A draw used to be `rng.gen::<f64>() < rate`, where the uniform is
-//! `u = x · 2⁻⁵³` for `x = next_u64() >> 11`, an integer in `[0, 2⁵³)`. Both
-//! scalings by `2⁻⁵³` and `2⁵³` are exact in `f64`, so `u < rate` holds
-//! exactly when `x < rate · 2⁵³`, and for an integer `x` that is
-//! `x < ⌈rate · 2⁵³⌉ = T`. Each crosspoint therefore draws
-//! `(next_u64() >> 11) < T` with `T` computed once per chunk: the same
-//! uniforms, the same outcomes, bit-identical maps, and no float conversion
-//! in the inner loop. Rate `0` gives `T = 0` (never defective), rate `1`
-//! gives `T = 2⁵³` (always), and the smallest subnormal rate gives `T = 1`
-//! (defective only for `x = 0`, exactly as `0.0 < rate`).
+//! Every nanowire and every crosspoint owns one uniform `U` in `[0, 1)` and
+//! is defective exactly when `U < rate`. [`DefectModel::sample_map`] decides
+//! 64 of them at once, one packed word at a time (Knuth & Yao, "The
+//! complexity of nonuniform random number generation", 1976):
+//!
+//! * **Lanes.** Lane `l` of a word stands for the uniform whose binary
+//!   digits `u_1 u_2 …` are bit `l` of the word's random planes `1, 2, …`.
+//! * **Compare digit by digit.** Write the rate's binary digits, read
+//!   exactly from the `f64` mantissa and exponent (subnormals included), as
+//!   `p_1 p_2 …`. A lane is decided at its first digit `k` with
+//!   `u_k ≠ p_k`: defective when `p_k = 1` (so `u_k = 0` and `U < rate`),
+//!   intact when `p_k = 0`. Lanes that still match after the rate's last
+//!   1-digit have `U ≥ rate` and are intact.
+//! * **Stop early.** The word stops drawing planes once every live lane is
+//!   decided, so it takes about `log₂ 64 + 1.3 ≈ 7.3` planes at any rate
+//!   instead of one generator step per crosspoint. Rate `0` and rate `1`
+//!   draw nothing.
+//!
+//! `P(defective) = rate` holds exactly, with no rounding of the rate.
+//!
+//! # Determinism contract
+//!
+//! A map has three vectors of words: vector `0` is the row breakage (lane
+//! `l` of word `w` is row `64 w + l`), vector `1` the column breakage (the
+//! same for columns) and vector `2` the packed crosspoint matrix above.
+//! Word `w` of vector `v` is keyed
+//! `chunk_seed(chunk_seed(seed ^ DOMAIN, v), w)`, and plane `k` of a word is
+//! [`chunk_seed`]`(word key, k)` — counter-based SplitMix64 (Steele, Lea &
+//! Flood, OOPSLA 2014), where `DOMAIN` is a fixed defect-map tag, so a
+//! Monte-Carlo estimation and a defect map sharing one run seed draw from
+//! decorrelated streams instead of replaying each other's words.
+//!
+//! Every plane is thus a pure function of `(seed, vector, word, plane)`:
+//!
+//! * a map depends only on `(rates, rows, columns, seed)`, never on the
+//!   order in which words are drawn or on a thread count;
+//! * maps are **nested in the rates**: each nanowire's and crosspoint's `U`
+//!   is the same at every rate (the rates decide only how many of its digits
+//!   are read), so under one seed every defect at lower rates is also a
+//!   defect at higher rates. A sweep along the defect axis damages one
+//!   fabricated crossbar further instead of drawing unrelated ones.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CrossbarError, Result};
@@ -72,11 +78,11 @@ use crate::yield_model::CaveYield;
 ///
 /// This is the workspace-wide stream-splitting primitive: the Monte-Carlo
 /// sampler in `decoder-sim` seeds its sample chunks with it directly, and
-/// [`DefectModel::sample_map`] seeds its map chunks with it through a
-/// defect-map domain tag (see the module docs), so the two samplers never
-/// replay each other's streams for a shared run seed. Both contracts
-/// ("bit-identical for any thread count") rest on this function being pure in
-/// `(seed, chunk_index)`.
+/// [`DefectModel::sample_map`] derives its word keys and random planes with
+/// it through a defect-map domain tag (see the module docs), so the two
+/// samplers never replay each other's streams for a shared run seed. Both
+/// contracts ("bit-identical for any thread count") rest on this function
+/// being pure in `(seed, chunk_index)`.
 #[must_use]
 pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     let mut z = seed.wrapping_add(
@@ -89,44 +95,84 @@ pub fn chunk_seed(seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of crossbar rows per defect-map band — the fixed chunk size of the
-/// chunked map layout. Fixed (rather than derived from the machine) so maps
-/// are reproducible across hosts; like the Monte-Carlo `chunk_size`, maps
-/// depend on this value but never on the thread count.
-pub const DEFECT_BAND_ROWS: usize = 64;
-
-/// Number of [`DEFECT_BAND_ROWS`]-row bands a `rows`-row defect map is
-/// sampled in (the last band may be shorter).
-#[must_use]
-pub fn defect_band_count(rows: usize) -> usize {
-    rows.div_ceil(DEFECT_BAND_ROWS)
-}
-
-/// Domain-separation tag mixed into the run seed before defect-map chunk
-/// derivation. Without it, chunk `c` of a defect map and chunk `c` of a
-/// Monte-Carlo estimation sharing one run seed would consume the *same*
-/// uniform stream, statistically coupling broken-nanowire placement to the
-/// sampled dose disturbances in combined studies.
+/// Domain-separation tag mixed into the run seed before defect-map word
+/// keys are derived. Without it, the words of a defect map and the chunks of
+/// a Monte-Carlo estimation sharing one run seed would start from the *same*
+/// keys, statistically coupling broken-nanowire placement to the sampled
+/// dose disturbances in combined studies.
 const DEFECT_SEED_DOMAIN: u64 = 0xdefe_c7ed_0000_0001;
 
-/// The generator of chunk `chunk` of the map layout — the defect-map
-/// instance of the chunk-seeding contract,
-/// `chunk_seed(seed ^ DEFECT_SEED_DOMAIN, chunk)`.
-fn defect_chunk_rng(seed: u64, chunk: u64) -> StdRng {
-    StdRng::seed_from_u64(chunk_seed(seed ^ DEFECT_SEED_DOMAIN, chunk))
+/// The vectors of a map's word layout (see the module docs).
+const ROW_BREAKAGE: u64 = 0;
+const COLUMN_BREAKAGE: u64 = 1;
+const CROSSPOINTS: u64 = 2;
+
+/// Decides the live `lanes` of one word: bit `l` of the result is set when
+/// lane `l`'s uniform is below `rate`, where `plane(k)` is the word's random
+/// plane `k ≥ 1` (bit `l` of it is digit `k` of lane `l`'s uniform). See
+/// the module docs for the comparison; bits outside `lanes` stay zero.
+fn bernoulli_word(rate: f64, lanes: u64, plane: impl Fn(u64) -> u64) -> u64 {
+    if rate.is_nan() || rate <= 0.0 {
+        return 0;
+    }
+    if rate >= 1.0 {
+        return lanes;
+    }
+    // rate = mantissa · 2^-scale with an odd mantissa, so digit k of the
+    // rate is bit `scale - k` of the mantissa and digit `scale` is its last
+    // 1-digit. A subnormal has no implicit leading bit and exponent -1074.
+    let bits = rate.to_bits();
+    let biased = bits >> 52;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, scale) = if biased == 0 {
+        (fraction, 1074)
+    } else {
+        (fraction | 1 << 52, 1075 - biased)
+    };
+    let zeros = u64::from(mantissa.trailing_zeros());
+    let (mantissa, scale) = (mantissa >> zeros, scale - zeros);
+    let mut defective = 0;
+    let mut undecided = lanes;
+    let mut digit = 1;
+    while undecided != 0 && digit <= scale {
+        let random = plane(digit);
+        let shift = scale - digit;
+        if shift < 64 && mantissa >> shift & 1 == 1 {
+            defective |= undecided & !random;
+            undecided &= random;
+        } else {
+            undecided &= !random;
+        }
+        digit += 1;
+    }
+    defective
 }
 
-/// The integer threshold `T = ⌈rate · 2⁵³⌉` of the module docs: the draw
-/// `(next_u64() >> 11) < T` is exactly `gen::<f64>() < rate`. A NaN or
-/// negative rate saturates to `0` and a rate above `1` to at least `2⁵³`,
-/// matching the float compare there too.
-fn defect_threshold(rate: f64) -> u64 {
-    (rate * (1u64 << 53) as f64).ceil() as u64
+/// The live lanes of word `word` of a vector of `count` bits: all 64, or
+/// the low `count % 64` of a partial last word.
+fn live_lanes(count: usize, word: usize) -> u64 {
+    let bits = count - 64 * word;
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    }
 }
 
-/// One draw of a chunk stream against a [`defect_threshold`].
-fn draw(rng: &mut StdRng, threshold: u64) -> bool {
-    (rng.next_u64() >> 11) < threshold
+/// Draws the first `words` words of vector `vector` of the map layout:
+/// word `w` decides its lanes `live(w)` at `rate` from its own keyed planes.
+fn sample_words(
+    rate: f64,
+    seed: u64,
+    vector: u64,
+    words: usize,
+    live: impl Fn(usize) -> u64,
+) -> impl Iterator<Item = u64> {
+    let vector_key = chunk_seed(seed ^ DEFECT_SEED_DOMAIN, vector);
+    (0..words).map(move |word| {
+        let word_key = chunk_seed(vector_key, word as u64);
+        bernoulli_word(rate, live(word), |digit| chunk_seed(word_key, digit))
+    })
 }
 
 /// Words of one packed row of a `columns`-column map.
@@ -142,9 +188,9 @@ fn row_words(columns: usize) -> usize {
 ///
 /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero, or
 /// when the matrix and its two breakage vectors together would not fit in
-/// `isize::MAX` bytes — the check that lets a sampler reject an oversize map
-/// before it allocates or draws anything.
-pub fn defect_map_words(rows: usize, columns: usize) -> Result<usize> {
+/// `isize::MAX` bytes — the check that lets [`DefectModel::sample_map`]
+/// reject an oversize map before it allocates or draws anything.
+fn defect_map_words(rows: usize, columns: usize) -> Result<usize> {
     if rows == 0 || columns == 0 {
         return Err(CrossbarError::InvalidSpec {
             reason: format!("defect map dimensions {rows}x{columns} must be positive"),
@@ -238,78 +284,39 @@ impl DefectModel {
     /// deterministic seed: which nanowires are broken and which crosspoints
     /// are defective.
     ///
-    /// The map is assembled from the independently seeded chunks of the
-    /// module-level layout, so this serial reference implementation is
-    /// bit-identical to a sharded assembly of the same chunks at any thread
-    /// count.
+    /// Each of the three vectors of the map is drawn 64 decisions per word
+    /// with the bit-plane comparison of the module docs, from planes that
+    /// are a pure function of `(seed, vector, word, plane)`: the map depends
+    /// only on the rates, the dimensions and the seed, and under one seed it
+    /// is nested in the rates.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero
-    /// or the map is too large to allocate (see [`defect_map_words`]).
+    /// or the map is too large to allocate (checked before anything is
+    /// drawn).
     pub fn sample_map(&self, rows: usize, columns: usize, seed: u64) -> Result<DefectMap> {
-        let mut defective = Vec::with_capacity(defect_map_words(rows, columns)?);
-        for band in 0..defect_band_count(rows) {
-            defective.extend(self.sample_defective_band(band, rows, columns, seed));
-        }
-        DefectMap::from_parts(
+        let words = defect_map_words(rows, columns)?;
+        let per_row = row_words(columns);
+        Ok(DefectMap {
             rows,
             columns,
-            self.sample_row_breakage(rows, seed),
-            self.sample_column_breakage(columns, seed),
-            defective,
-        )
+            broken_rows: self.sample_breakage(rows, seed, ROW_BREAKAGE),
+            broken_columns: self.sample_breakage(columns, seed, COLUMN_BREAKAGE),
+            defective: sample_words(self.crosspoint_defect, seed, CROSSPOINTS, words, |word| {
+                live_lanes(columns, word % per_row)
+            })
+            .collect(),
+        })
     }
 
-    /// Samples chunk `0` of the map layout: the row-breakage vector (`rows`
-    /// uniforms from the chunk-0 generator of the domain-tagged layout).
-    #[must_use]
-    pub fn sample_row_breakage(&self, rows: usize, seed: u64) -> Vec<bool> {
-        self.sample_breakage(rows, defect_chunk_rng(seed, 0))
-    }
-
-    /// Samples chunk `1` of the map layout: the column-breakage vector
-    /// (`columns` uniforms from the chunk-1 generator of the domain-tagged
-    /// layout).
-    #[must_use]
-    pub fn sample_column_breakage(&self, columns: usize, seed: u64) -> Vec<bool> {
-        self.sample_breakage(columns, defect_chunk_rng(seed, 1))
-    }
-
-    /// Samples chunk `2 + band` of the map layout: the packed crosspoint-
-    /// defect rows of `band` (the layout of the module docs, one uniform per
-    /// crosspoint in row-major order, from the chunk-`2 + band` generator of
-    /// the domain-tagged layout).
-    ///
-    /// Bands past the end of the map (`band ≥ defect_band_count(rows)`) are
-    /// empty.
-    #[must_use]
-    pub fn sample_defective_band(
-        &self,
-        band: usize,
-        rows: usize,
-        columns: usize,
-        seed: u64,
-    ) -> Vec<u64> {
-        let start = band.saturating_mul(DEFECT_BAND_ROWS);
-        let band_rows = rows.saturating_sub(start).min(DEFECT_BAND_ROWS);
-        let threshold = defect_threshold(self.crosspoint_defect);
-        let mut rng = defect_chunk_rng(seed, 2 + band as u64);
-        let mut words = Vec::new();
-        for _ in 0..band_rows {
-            for first in (0..columns).step_by(64) {
-                let bits = (columns - first).min(64);
-                words.push((0..bits).fold(0u64, |word, bit| {
-                    word | u64::from(draw(&mut rng, threshold)) << bit
-                }));
-            }
-        }
-        words
-    }
-
-    fn sample_breakage(&self, count: usize, mut rng: StdRng) -> Vec<bool> {
-        let threshold = defect_threshold(self.nanowire_breakage);
-        (0..count).map(|_| draw(&mut rng, threshold)).collect()
+    /// Draws the breakage vector `vector` of `count` nanowires, unpacked.
+    fn sample_breakage(&self, count: usize, seed: u64, vector: u64) -> Vec<bool> {
+        let (rate, words) = (self.nanowire_breakage, count.div_ceil(64));
+        sample_words(rate, seed, vector, words, |word| live_lanes(count, word))
+            .flat_map(|bits| (0..64).map(move |lane| bits >> lane & 1 == 1))
+            .take(count)
+            .collect()
     }
 }
 
@@ -351,43 +358,6 @@ pub struct DefectMap {
 }
 
 impl DefectMap {
-    /// Assembles a map from sampled chunks: the breakage vectors and the
-    /// packed crosspoint-defect rows (the concatenated bands of the
-    /// module-level layout, [`defect_map_words`] words in all).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidSpec`] when either dimension is zero,
-    /// the map is too large (see [`defect_map_words`]), or a part's length
-    /// does not match the dimensions.
-    pub fn from_parts(
-        rows: usize,
-        columns: usize,
-        broken_rows: Vec<bool>,
-        broken_columns: Vec<bool>,
-        defective: Vec<u64>,
-    ) -> Result<Self> {
-        let words = defect_map_words(rows, columns)?;
-        if broken_rows.len() != rows || broken_columns.len() != columns || defective.len() != words
-        {
-            return Err(CrossbarError::InvalidSpec {
-                reason: format!(
-                    "defect map parts ({}, {}, {} words) do not match dimensions {rows}x{columns}",
-                    broken_rows.len(),
-                    broken_columns.len(),
-                    defective.len()
-                ),
-            });
-        }
-        Ok(DefectMap {
-            rows,
-            columns,
-            broken_rows,
-            broken_columns,
-            defective,
-        })
-    }
-
     /// Number of row nanowires.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -522,7 +492,6 @@ mod tests {
     use crate::contact::ContactGroupLayout;
     use crate::geometry::LayoutRules;
     use crate::yield_model::AddressabilityProfile;
-    use rand::Rng;
 
     fn decoder_yield() -> CaveYield {
         let layout = ContactGroupLayout::new(20, 32, LayoutRules::paper_default()).unwrap();
@@ -612,6 +581,8 @@ mod tests {
     fn zero_sized_maps_are_rejected() {
         assert!(DefectModel::ideal().sample_map(0, 4, 1).is_err());
         assert!(DefectModel::ideal().sample_map(4, 0, 1).is_err());
+        // A 65-column row packs into two words.
+        assert_eq!(defect_map_words(3, 65).unwrap(), 6);
     }
 
     #[test]
@@ -619,46 +590,6 @@ mod tests {
         assert_eq!(chunk_seed(42, 0), chunk_seed(42, 0));
         assert_ne!(chunk_seed(42, 0), chunk_seed(42, 1));
         assert_ne!(chunk_seed(42, 0), chunk_seed(43, 0));
-    }
-
-    #[test]
-    fn maps_assemble_from_independently_sampled_chunks() {
-        // Spanning multiple bands (150 rows > DEFECT_BAND_ROWS), reassembling
-        // the chunks in any grouping must reproduce sample_map exactly — the
-        // property the execution engine's sharded assembly relies on.
-        let model = DefectModel::new(0.1, 0.05).unwrap();
-        let (rows, columns, seed) = (150usize, 40usize, 42u64);
-        assert_eq!(defect_band_count(rows), 3);
-        let mut defective = Vec::new();
-        // Deliberately sample the bands out of order to mimic scheduling.
-        let mut bands: Vec<(usize, Vec<u64>)> = (0..defect_band_count(rows))
-            .rev()
-            .map(|band| (band, model.sample_defective_band(band, rows, columns, seed)))
-            .collect();
-        bands.sort_by_key(|(band, _)| *band);
-        for (_, band) in bands {
-            defective.extend(band);
-        }
-        let assembled = DefectMap::from_parts(
-            rows,
-            columns,
-            model.sample_row_breakage(rows, seed),
-            model.sample_column_breakage(columns, seed),
-            defective,
-        )
-        .unwrap();
-        assert_eq!(assembled, model.sample_map(rows, columns, seed).unwrap());
-    }
-
-    #[test]
-    fn from_parts_validates_lengths() {
-        // A 2x2 map packs into one word per row.
-        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![0; 2]).is_ok());
-        assert!(DefectMap::from_parts(2, 2, vec![false; 3], vec![false; 2], vec![0; 2]).is_err());
-        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 1], vec![0; 2]).is_err());
-        assert!(DefectMap::from_parts(2, 2, vec![false; 2], vec![false; 2], vec![0; 4]).is_err());
-        assert!(DefectMap::from_parts(0, 2, vec![], vec![false; 2], vec![]).is_err());
-        assert_eq!(defect_map_words(3, 65).unwrap(), 6);
     }
 
     #[test]
@@ -675,53 +606,103 @@ mod tests {
                 ),
                 "{rows}x{columns}"
             );
-            assert!(DefectMap::from_parts(rows, columns, vec![], vec![], vec![]).is_err());
+        }
+    }
+
+    /// Words per rate in the sampler statistics test: 2²² lanes.
+    const STATISTICS_WORDS: usize = 1 << 16;
+
+    /// Whether `count` successes of `trials` lie within 6 binomial standard
+    /// errors of probability `p`.
+    fn assert_binomial(count: u64, trials: usize, p: f64, context: &str) {
+        let mean = trials as f64 * p;
+        let se = (mean * (1.0 - p)).sqrt();
+        assert!(
+            (count as f64 - mean).abs() <= 6.0 * se,
+            "{context}: {count} of {trials}, expected {mean} ± 6 · {se}"
+        );
+    }
+
+    #[test]
+    fn bernoulli_words_match_the_rate_in_every_lane() {
+        for rate in [0.5, 0.3, 0.01, 1e-4, f64::MIN_POSITIVE] {
+            let mut lanes = [0u64; 64];
+            let mut adjacent = 0;
+            for bits in sample_words(rate, 7, CROSSPOINTS, STATISTICS_WORDS, |_| u64::MAX) {
+                for (lane, count) in lanes.iter_mut().enumerate() {
+                    *count += bits >> lane & 1;
+                }
+                // Bit l of this is set when lanes l and l + 1 both are.
+                adjacent += u64::from((bits & bits >> 1).count_ones());
+            }
+            let context = format!("rate {rate}");
+            let total = lanes.iter().sum();
+            assert_binomial(total, 64 * STATISTICS_WORDS, rate, &context);
+            for (lane, &count) in lanes.iter().enumerate() {
+                let context = format!("{context}, lane {lane}");
+                assert_binomial(count, STATISTICS_WORDS, rate, &context);
+            }
+            let context = format!("{context}, adjacent lanes");
+            assert_binomial(adjacent, 63 * STATISTICS_WORDS, rate * rate, &context);
+        }
+        // Rates 0 and 1 decide without drawing, and only live lanes are set.
+        let live = live_lanes(100, 1);
+        assert_eq!(live, (1 << 36) - 1);
+        let no_plane = |_| -> u64 { unreachable!("rates 0 and 1 draw no plane") };
+        assert_eq!(bernoulli_word(0.0, live, no_plane), 0);
+        assert_eq!(bernoulli_word(1.0, live, no_plane), live);
+        for bits in sample_words(0.5, 7, CROSSPOINTS, 1_024, |_| live) {
+            assert_eq!(bits & !live, 0);
+        }
+        // Padding bits past the last column stay zero in a stuck map.
+        let columns = 363;
+        let stuck = DefectModel::new(0.0, 1.0).unwrap();
+        let map = stuck.sample_map(5, columns, 3).unwrap();
+        let padding = !live_lanes(columns, row_words(columns) - 1);
+        for row in map.defective.chunks_exact(row_words(columns)) {
+            assert_eq!(row[..row.len() - 1], [u64::MAX; 5]);
+            assert_eq!(row[row.len() - 1] & padding, 0);
         }
     }
 
     #[test]
-    fn threshold_draws_equal_float_draws() {
-        let scale = 1.0 / (1u64 << 53) as f64;
+    fn bit_plane_draws_compare_the_uniform_with_the_rate_exactly() {
         let rates = [
-            0.0,
-            1.0,
-            f64::from_bits(1),
-            f64::MIN_POSITIVE,
-            scale,
-            0.01,
-            0.025,
-            0.05,
             0.5,
+            0.3,
+            0.75,
+            0.01,
+            1e-4,
             1.0 - f64::EPSILON / 2.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
         ];
         for rate in rates {
-            let threshold = defect_threshold(rate);
-            // The compare flips exactly between x = T - 1 and x = T.
-            let edges = [
-                0,
-                1,
-                threshold.saturating_sub(1),
-                threshold,
-                threshold + 1,
-                (1 << 53) - 1,
-            ];
-            for x in edges.into_iter().filter(|&x| x < 1 << 53) {
+            // With every digit past the 64th zero, lane l's uniform is
+            // exactly u_l / 2⁶⁴, which is below the rate when
+            // u_l < ⌈rate · 2⁶⁴⌉ (the scaling by 2⁶⁴ is exact).
+            let threshold = (rate * 2f64.powi(64)).ceil() as u128;
+            let edge = u64::try_from(threshold).unwrap();
+            let mut uniforms = vec![0, 1, edge - 1, edge, edge + 1, u64::MAX];
+            uniforms.extend((0..58).map(|lane| chunk_seed(11, lane)));
+            let plane = |digit: u64| {
+                if digit > 64 {
+                    return 0;
+                }
+                let digits = uniforms.iter().map(|&u| u >> (64 - digit) & 1);
+                digits
+                    .enumerate()
+                    .fold(0, |plane, (lane, bit)| plane | bit << lane)
+            };
+            let bits = bernoulli_word(rate, u64::MAX, plane);
+            for (lane, &u) in uniforms.iter().enumerate() {
                 assert_eq!(
-                    x < threshold,
-                    (x as f64 * scale) < rate,
-                    "rate {rate}, x {x}"
+                    bits >> lane & 1 == 1,
+                    u128::from(u) < threshold,
+                    "rate {rate}, uniform {u:#018x}"
                 );
             }
-            // And the two draws agree on a whole stream.
-            let mut packed = defect_chunk_rng(7, 3);
-            let mut float = defect_chunk_rng(7, 3);
-            for _ in 0..4_096 {
-                assert_eq!(draw(&mut packed, threshold), float.gen::<f64>() < rate);
-            }
         }
-        assert_eq!(defect_threshold(0.0), 0);
-        assert_eq!(defect_threshold(1.0), 1 << 53);
-        assert_eq!(defect_threshold(f64::from_bits(1)), 1);
     }
 
     #[test]
@@ -745,14 +726,13 @@ mod tests {
 
             // All columns broken but every row intact: the padding bits of
             // the live-column mask must not count as usable crosspoints.
-            let map = DefectMap::from_parts(
+            let map = DefectMap {
                 rows,
                 columns,
-                vec![false; rows],
-                vec![true; columns],
-                vec![0; defect_map_words(rows, columns).unwrap()],
-            )
-            .unwrap();
+                broken_rows: vec![false; rows],
+                broken_columns: vec![true; columns],
+                defective: vec![0; defect_map_words(rows, columns).unwrap()],
+            };
             assert_eq!(map.usable_fraction(), 0.0, "{columns} columns");
 
             for map in [clean, map] {

@@ -74,10 +74,7 @@ pub use area::CrossbarArea;
 pub use array::{CrossbarSpec, PAPER_RAW_BITS};
 pub use cave::{Cave, HalfCave};
 pub use contact::{ContactGroupLayout, PositionKind};
-pub use defects::{
-    chunk_seed, defect_band_count, defect_map_words, CompositeYield, DefectMap, DefectModel,
-    DefectTally, DEFECT_BAND_ROWS,
-};
+pub use defects::{chunk_seed, CompositeYield, DefectMap, DefectModel, DefectTally};
 pub use error::{CrossbarError, Result};
 pub use geometry::LayoutRules;
 pub use memory::CrossbarMemory;

@@ -10,9 +10,10 @@
 //! | `MSPT_DEFECT_SEED` | defect-map run seed | 2009 |
 //! | `MSPT_ENGINE_THREADS` | engine worker threads | available parallelism |
 //!
-//! The table is bit-identical for any `MSPT_ENGINE_THREADS` value: defect
-//! maps are assembled from independently seeded chunks, so the sharding
-//! never changes the sample.
+//! The table is bit-identical for any `MSPT_ENGINE_THREADS` value: a
+//! defect map is a pure function of its rates, dimensions and seed. Under
+//! one seed the maps are nested in the rates, so composite yield never
+//! rises along the defect axis of one code.
 
 /// Environment variable overriding the defect-map run seed.
 const DEFECT_SEED_ENV: &str = "MSPT_DEFECT_SEED";

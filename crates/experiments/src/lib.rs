@@ -404,8 +404,8 @@ pub fn disturbance_report_with(engine: &ExecutionEngine) -> Result<DisturbanceRe
 /// The serving-layer stress mix: every Fig. 7/8 sweep configuration (the
 /// four code families at their valid lengths) plus one Laplace-disturbance
 /// variant and one sampled-defect variant, so a stress run also exercises
-/// disturbance-kind and defect-kind cache keying (including the engine's
-/// sharded defect-map sampling under concurrent load). This is the
+/// disturbance-kind and defect-kind cache keying (including defect-map
+/// sampling under concurrent load). This is the
 /// repeated-`SimConfig` workload the shared warm cache is built for — the
 /// request population of the `serve_stress` binary and the CI serving gate.
 ///

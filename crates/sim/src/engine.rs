@@ -45,9 +45,7 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use crossbar_array::{
-    defect_band_count, defect_map_words, AddressabilityProfile, DefectMap, DefectModel,
-};
+use crossbar_array::{AddressabilityProfile, DefectMap, DefectModel};
 use device_physics::{VariabilityModel, Volts};
 use mspt_fabrication::VariabilityMatrix;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -273,11 +271,10 @@ impl ExecutionEngine {
     /// single-flight onto one evaluation. This is the serve layer's
     /// per-request entry point.
     ///
-    /// A defect-configured evaluation samples its [`DefectMap`] through the
-    /// engine's sharded [`ExecutionEngine::sample_defect_map`] and composes
-    /// it with the decoder yield on the platform — bit-identical to the
-    /// serial [`SimulationPlatform::evaluate`] at any thread count, because
-    /// both assemble the same independently seeded chunks.
+    /// A defect-configured evaluation samples its [`DefectMap`] with
+    /// [`SimulationPlatform::sample_defect_map`] and composes it with the
+    /// decoder yield on the platform — bit-identical to the serial
+    /// [`SimulationPlatform::evaluate`] at any thread count.
     ///
     /// A composite miss runs the other stages inside its single flight:
     /// the defect map (as its [`DefectTally`](crossbar_array::DefectTally))
@@ -292,10 +289,7 @@ impl ExecutionEngine {
         self.stages.composite(config, || {
             let platform = SimulationPlatform::new(config.clone());
             let tally = self.stages.defect_map(config, || {
-                let map = platform.sample_defect_map_with(|model, rows, columns, seed| {
-                    self.sample_defect_map(model, rows, columns, seed)
-                })?;
-                Ok(map.as_ref().map(DefectMap::tally))
+                Ok(platform.sample_defect_map()?.as_ref().map(DefectMap::tally))
             })?;
             platform.compose_report(&self.stages, tally)
         })
@@ -564,18 +558,16 @@ impl ExecutionEngine {
             })
     }
 
-    /// Samples a crossbar defect map with its bands sharded across the
-    /// engine's threads — bit-identical to the serial
-    /// [`DefectModel::sample_map`] at any thread count, because both assemble
-    /// the same independently seeded chunks (see the layout documented on
-    /// `crossbar_array::defects`): the breakage vectors are cheap and drawn
-    /// inline, the `O(rows · columns)` crosspoint bands fan out through the
-    /// engine and their packed rows are concatenated in band order.
+    /// Samples a crossbar defect map: [`DefectModel::sample_map`], inline on
+    /// the calling thread. A served map is drawn 64 crosspoints per packed
+    /// word in a few random planes, which is cheaper than a fan-out across
+    /// the engine's threads would be, and the map is the same at any thread
+    /// count.
     ///
     /// # Errors
     ///
     /// Returns the crossbar layer's `InvalidSpec` when either dimension is
-    /// zero or the map is too large to allocate (checked before any band is
+    /// zero or the map is too large to allocate (checked before anything is
     /// drawn).
     pub fn sample_defect_map(
         &self,
@@ -584,21 +576,7 @@ impl ExecutionEngine {
         columns: usize,
         seed: u64,
     ) -> Result<DefectMap> {
-        let words = defect_map_words(rows, columns)?;
-        let bands = self.run_indexed(defect_band_count(rows), |band| {
-            Ok(model.sample_defective_band(band, rows, columns, seed))
-        })?;
-        let mut defective = Vec::with_capacity(words);
-        for band in bands {
-            defective.extend(band);
-        }
-        Ok(DefectMap::from_parts(
-            rows,
-            columns,
-            model.sample_row_breakage(rows, seed),
-            model.sample_column_breakage(columns, seed),
-            defective,
-        )?)
+        Ok(model.sample_map(rows, columns, seed)?)
     }
 
     /// Evaluates every configuration through the report slot, fanning the

@@ -12,11 +12,11 @@
 //!
 //! Both the Monte-Carlo validator and the sweeps run on a work-sharded
 //! parallel [`ExecutionEngine`] whose results are bit-identical for any
-//! thread count; the engine also shards crossbar defect-map generation
-//! ([`ExecutionEngine::sample_defect_map`]) under the same per-chunk seeding
-//! contract, and composes sampled defect maps into every report when a
-//! configuration selects them ([`SimConfig::with_defects`] /
-//! [`DefectKind`]) — the defect axis of the Fig. 7 extension.
+//! thread count; the engine also composes sampled crossbar defect maps
+//! ([`ExecutionEngine::sample_defect_map`], a pure function of rates,
+//! dimensions and seed) into every report when a configuration selects them
+//! ([`SimConfig::with_defects`] / [`DefectKind`]) — the defect axis of the
+//! Fig. 7 extension.
 //! [`ExecutionEngine::serial`] is the single-threaded reference.
 //!
 //! Repeated evaluations are served from the engine's one memo, its
@@ -92,8 +92,8 @@ pub use stats::{inverse_normal_cdf, wilson_bounds, wilson_half_width, z_for_conf
 
 // Re-exported so the sampling and defect-map determinism contracts can be
 // referenced from one API: Monte-Carlo chunk `c` draws from
-// `chunk_seed(seed, c)`; defect maps derive theirs through a domain tag so
-// the two samplers stay decorrelated for a shared run seed.
+// `chunk_seed(seed, c)`; defect maps derive their word keys through a domain
+// tag so the two samplers stay decorrelated for a shared run seed.
 pub use crossbar_array::chunk_seed;
 pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};

@@ -382,12 +382,11 @@ pub(crate) fn sample_chunk(
         }
         disturbance.sample_matrix(sigmas.values(), regions, &mut normals, deviations);
         for (count, row) in counts.iter_mut().zip(deviations.chunks_exact(regions)) {
-            if row
-                .iter()
-                .all(|deviation| deviation.abs() <= window_half_width)
-            {
-                *count += 1;
-            }
+            // Every region is tested, without a data-dependent branch; a NaN
+            // deviation is out of window, as in a short-circuit `all`.
+            *count += usize::from(row.iter().fold(true, |inside, deviation| {
+                inside & (deviation.abs() <= window_half_width)
+            }));
         }
     }
     counts

@@ -195,41 +195,23 @@ impl SimulationPlatform {
         )?)
     }
 
-    /// Samples the defect map of the configured [`DefectKind`] serially —
-    /// `None` for a defect-free configuration. Bit-identical to the
-    /// engine-sharded
-    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map)
-    /// of the same model and seed, because both assemble the same
-    /// independently seeded chunks.
+    /// Samples the defect map of the configured [`DefectKind`] —
+    /// `None` for a defect-free configuration. The map is a pure function of
+    /// the configured rates, crossbar edge and seed, so the serial
+    /// [`SimulationPlatform::evaluate`] and the engine's
+    /// [`ExecutionEngine::report_for`](crate::ExecutionEngine::report_for)
+    /// draw the same map.
     ///
     /// # Errors
     ///
     /// Propagates crossbar-specification errors.
     pub fn sample_defect_map(&self) -> Result<Option<DefectMap>> {
-        self.sample_defect_map_with(|model, rows, columns, seed| {
-            Ok(model.sample_map(rows, columns, seed)?)
-        })
-    }
-
-    /// [`SimulationPlatform::sample_defect_map`] with an explicit map
-    /// sampler — the single place that decides *whether* a map is drawn and
-    /// *which* dimensions and seed it gets, so the serial path and the
-    /// engine-sharded path (which passes
-    /// [`ExecutionEngine::sample_defect_map`](crate::ExecutionEngine::sample_defect_map)
-    /// here) can never diverge in dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates crossbar-specification and sampler errors.
-    pub fn sample_defect_map_with<F>(&self, sampler: F) -> Result<Option<DefectMap>>
-    where
-        F: FnOnce(&crossbar_array::DefectModel, usize, usize, u64) -> Result<DefectMap>,
-    {
         match self.config.defects() {
             DefectKind::None => Ok(None),
             DefectKind::Sampled(defects) => {
                 let edge = self.config.crossbar_spec()?.nanowires_per_layer();
-                Ok(Some(sampler(&defects.model(), edge, edge, defects.seed())?))
+                let map = defects.model().sample_map(edge, edge, defects.seed())?;
+                Ok(Some(map))
             }
         }
     }
@@ -249,8 +231,8 @@ impl SimulationPlatform {
     }
 
     /// [`SimulationPlatform::evaluate`] with an externally sampled defect
-    /// map — the entry point the execution engine uses to shard map
-    /// generation across its threads while keeping the composition here.
+    /// map — the entry point for a caller that brings its own map, while
+    /// the composition stays here.
     ///
     /// The map must correspond to the configured [`DefectKind`]: `Some` of
     /// the right dimensions for [`DefectKind::Sampled`], `None` for
