@@ -241,10 +241,13 @@ mod tests {
     #[test]
     fn symmetric_pairs_are_clean() {
         let source = r#"
-            pub fn spec_to_json(s: &Spec) -> JsonValue {
-                object(vec![("rows", from(s.rows)), ("cols", from(s.cols))])
+            pub fn spec_to_json(s: &Spec, out: &mut String) {
+                write_object(out, |fields| {
+                    fields.u64("rows", s.rows);
+                    fields.u64("cols", s.cols);
+                });
             }
-            pub fn spec_from_json(v: &JsonValue) -> Result<Spec, E> {
+            pub fn spec_from_json(v: JsonCursor<'_>) -> Result<Spec, E> {
                 Ok(Spec { rows: v.get("rows")?, cols: v.get("cols")? })
             }
         "#;
@@ -254,10 +257,13 @@ mod tests {
     #[test]
     fn asymmetric_keys_fire_in_both_directions() {
         let source = r#"
-            pub fn spec_to_json(s: &Spec) -> JsonValue {
-                object(vec![("rows", from(s.rows)), ("cols", from(s.cols))])
+            pub fn spec_to_json(s: &Spec, out: &mut String) {
+                write_object(out, |fields| {
+                    fields.u64("rows", s.rows);
+                    fields.u64("cols", s.cols);
+                });
             }
-            pub fn spec_from_json(v: &JsonValue) -> Result<Spec, E> {
+            pub fn spec_from_json(v: JsonCursor<'_>) -> Result<Spec, E> {
                 Ok(Spec { rows: v.get("rows")?, depth: v.get_opt("depth")? })
             }
         "#;
@@ -275,10 +281,10 @@ mod tests {
     #[test]
     fn error_message_strings_are_not_keys() {
         let source = r#"
-            pub fn spec_to_json(s: &Spec) -> JsonValue {
-                object(vec![("rows", from(s.rows))])
+            pub fn spec_to_json(s: &Spec, out: &mut String) {
+                write_object(out, |fields| fields.u64("rows", s.rows));
             }
-            pub fn spec_from_json(v: &JsonValue) -> Result<Spec, E> {
+            pub fn spec_from_json(v: JsonCursor<'_>) -> Result<Spec, E> {
                 let rows = v.get("rows").ok_or_else(|| err("missing rows field"))?;
                 Ok(Spec { rows })
             }
@@ -288,7 +294,8 @@ mod tests {
 
     #[test]
     fn unpaired_codec_functions_fire() {
-        let findings = check("pub fn spec_to_json(s: &Spec) -> JsonValue { object(vec![]) }");
+        let findings =
+            check("pub fn spec_to_json(s: &Spec, out: &mut String) { write_object(out, |_| {}) }");
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no `spec_from_json`"));
     }

@@ -6,7 +6,7 @@
 //! less than a miss.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use decoder_sim::codec::{config_from_json, config_to_json};
+use decoder_sim::codec::{config_from_json, config_to_json, render, JsonTape};
 use decoder_sim::{
     CacheConfig, EngineConfig, ExecutionEngine, ReportCache, SimConfig, SimulationPlatform,
 };
@@ -46,8 +46,8 @@ fn bench_report_cache(c: &mut Criterion) {
 
     group.bench_function("wire_codec_round_trip", |b| {
         b.iter(|| {
-            let json = config_to_json(black_box(&config)).render();
-            config_from_json(&decoder_sim::codec::JsonValue::parse(&json).unwrap()).unwrap()
+            let json = render(|out| config_to_json(black_box(&config), out));
+            config_from_json(JsonTape::parse(&json).unwrap().root()).unwrap()
         });
     });
 

@@ -46,7 +46,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use decoder_sim::codec::JsonValue;
+use decoder_sim::codec::{render, write_array, write_object};
 use decoder_sim::{
     CacheConfig, CacheStats, DefectKind, EngineConfig, ExecutionEngine, MonteCarloConfig,
     ReportCache, SamplingStats, SimulationPlatform, StageStats, CACHE_PATH_ENV,
@@ -77,36 +77,27 @@ fn delta(before: &CacheStats, after: &CacheStats) -> PassStats {
     }
 }
 
-fn benchmark_row(id: &str, median_ns: f64) -> JsonValue {
-    JsonValue::Object(vec![
-        ("id".to_string(), JsonValue::String(id.to_string())),
-        ("median_ns".to_string(), JsonValue::from_f64(median_ns)),
-    ])
+/// Appends one `{"id","median_ns"}` row of the `benchmarks` array.
+fn benchmark_row(out: &mut String, (id, median_ns): &(String, f64)) {
+    write_object(out, |fields| {
+        fields.str("id", id);
+        fields.f64("median_ns", *median_ns);
+    });
 }
 
 /// The per-stage memo rows of the engine's stage cache — one object per
 /// stage, in `Stage::ALL` order. Rides alongside the aggregate report-cache
 /// counters in the results artifact (new key, old fields untouched, so
 /// pre-stage-cache consumers keep parsing).
-fn stage_stats_json(rows: &[StageStats]) -> JsonValue {
-    JsonValue::Array(
-        rows.iter()
-            .map(|row| {
-                JsonValue::Object(vec![
-                    (
-                        "stage".to_string(),
-                        JsonValue::String(row.stage.name().to_string()),
-                    ),
-                    ("hits".to_string(), JsonValue::from_u64(row.stats.hits)),
-                    ("misses".to_string(), JsonValue::from_u64(row.stats.misses)),
-                    (
-                        "evictions".to_string(),
-                        JsonValue::from_u64(row.stats.evictions),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+fn stage_stats_json(out: &mut String, rows: &[StageStats]) {
+    write_array(out, rows, |out, row| {
+        write_object(out, |fields| {
+            fields.str("stage", row.stage.name());
+            fields.u64("hits", row.stats.hits);
+            fields.u64("misses", row.stats.misses);
+            fields.u64("evictions", row.stats.evictions);
+        });
+    });
 }
 
 fn print_stage_stats(rows: &[StageStats]) {
@@ -248,7 +239,7 @@ fn results_json(
 ) -> String {
     let (_, outcome) = &labeled[0];
     let latency = &outcome.latency;
-    let mut benchmarks = Vec::new();
+    let mut benchmarks: Vec<(String, f64)> = Vec::new();
     for (prefix, outcome) in labeled {
         let latency = &outcome.latency;
         let rps = outcome.throughput_rps();
@@ -262,132 +253,63 @@ fn results_json(
         } else {
             (outcome.bytes_sent + outcome.bytes_received) as f64 / outcome.requests as f64
         };
-        benchmarks.push(benchmark_row(
-            &format!("{prefix}/p50"),
-            latency.quantile(0.5) as f64,
-        ));
-        benchmarks.push(benchmark_row(
-            &format!("{prefix}/p99"),
-            latency.quantile(0.99) as f64,
-        ));
-        benchmarks.push(benchmark_row(
-            &format!("{prefix}/p999"),
-            latency.quantile(0.999) as f64,
-        ));
-        benchmarks.push(benchmark_row(&format!("{prefix}/mean"), latency.mean()));
-        benchmarks.push(benchmark_row(&format!("{prefix}/ns_per_req"), ns_per_req));
-        benchmarks.push(benchmark_row(
-            &format!("{prefix}/bytes_per_req"),
-            bytes_per_req,
-        ));
+        benchmarks.push((format!("{prefix}/p50"), latency.quantile(0.5) as f64));
+        benchmarks.push((format!("{prefix}/p99"), latency.quantile(0.99) as f64));
+        benchmarks.push((format!("{prefix}/p999"), latency.quantile(0.999) as f64));
+        benchmarks.push((format!("{prefix}/mean"), latency.mean()));
+        benchmarks.push((format!("{prefix}/ns_per_req"), ns_per_req));
+        benchmarks.push((format!("{prefix}/bytes_per_req"), bytes_per_req));
     }
     // The snapshot sizes ride along as benchmark rows too (the "ns" in the
     // field name is historical; bench_compare.sh only diffs medians by id).
-    benchmarks.push(benchmark_row(
-        "snapshot/json_bytes",
+    benchmarks.push((
+        "snapshot/json_bytes".to_string(),
         snapshot.json_bytes as f64,
     ));
-    benchmarks.push(benchmark_row(
-        "snapshot/bin_bytes",
-        snapshot.bin_bytes as f64,
-    ));
+    benchmarks.push(("snapshot/bin_bytes".to_string(), snapshot.bin_bytes as f64));
     // The sampling comparison rides along the same way: medians by id.
-    benchmarks.push(benchmark_row(
-        "sampling/fixed_samples_used",
+    benchmarks.push((
+        "sampling/fixed_samples_used".to_string(),
         sampling.fixed_used as f64,
     ));
-    benchmarks.push(benchmark_row(
-        "sampling/adaptive_samples_used",
+    benchmarks.push((
+        "sampling/adaptive_samples_used".to_string(),
         sampling.adaptive_used as f64,
     ));
-    JsonValue::Object(vec![
-        ("schema_version".to_string(), JsonValue::from_u64(1)),
-        (
-            "transport".to_string(),
-            JsonValue::String(transport.to_string()),
-        ),
-        (
-            "requests".to_string(),
-            JsonValue::from_u64(outcome.requests),
-        ),
-        (
-            "mismatches".to_string(),
-            JsonValue::from_u64(outcome.mismatches),
-        ),
-        ("sheds".to_string(), JsonValue::from_u64(outcome.sheds)),
-        (
-            "wire_failures".to_string(),
-            JsonValue::from_u64(outcome.wire_failures),
-        ),
-        (
-            "shed_path_exercised".to_string(),
-            JsonValue::Bool(sheds_exercised),
-        ),
-        (
-            "rps".to_string(),
-            JsonValue::from_f64(outcome.throughput_rps()),
-        ),
-        (
-            "p50_ns".to_string(),
-            JsonValue::from_u64(latency.quantile(0.5)),
-        ),
-        (
-            "p99_ns".to_string(),
-            JsonValue::from_u64(latency.quantile(0.99)),
-        ),
-        (
-            "p999_ns".to_string(),
-            JsonValue::from_u64(latency.quantile(0.999)),
-        ),
-        ("max_ns".to_string(), JsonValue::from_u64(latency.max())),
-        ("mean_ns".to_string(), JsonValue::from_f64(latency.mean())),
-        (
-            "snapshot_size".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "entries".to_string(),
-                    JsonValue::from_u64(SNAPSHOT_ENTRIES as u64),
-                ),
-                (
-                    "json_bytes".to_string(),
-                    JsonValue::from_u64(snapshot.json_bytes),
-                ),
-                (
-                    "bin_bytes".to_string(),
-                    JsonValue::from_u64(snapshot.bin_bytes),
-                ),
-            ]),
-        ),
-        ("stage_cache".to_string(), stage_stats_json(stage_rows)),
-        (
-            "sampling".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "fixed_samples_used".to_string(),
-                    JsonValue::from_u64(sampling.fixed_used as u64),
-                ),
-                (
-                    "adaptive_samples_used".to_string(),
-                    JsonValue::from_u64(sampling.adaptive_used as u64),
-                ),
-                (
-                    "sample_cap".to_string(),
-                    JsonValue::from_u64(sampling.cap as u64),
-                ),
-                ("runs".to_string(), JsonValue::from_u64(sampling.stats.runs)),
-                (
-                    "samples_requested".to_string(),
-                    JsonValue::from_u64(sampling.stats.samples_requested),
-                ),
-                (
-                    "samples_used".to_string(),
-                    JsonValue::from_u64(sampling.stats.samples_used),
-                ),
-            ]),
-        ),
-        ("benchmarks".to_string(), JsonValue::Array(benchmarks)),
-    ])
-    .render()
+    render(|out| {
+        write_object(out, |fields| {
+            fields.u64("schema_version", 1);
+            fields.str("transport", transport);
+            fields.u64("requests", outcome.requests);
+            fields.u64("mismatches", outcome.mismatches);
+            fields.u64("sheds", outcome.sheds);
+            fields.u64("wire_failures", outcome.wire_failures);
+            fields.bool("shed_path_exercised", sheds_exercised);
+            fields.f64("rps", outcome.throughput_rps());
+            fields.u64("p50_ns", latency.quantile(0.5));
+            fields.u64("p99_ns", latency.quantile(0.99));
+            fields.u64("p999_ns", latency.quantile(0.999));
+            fields.u64("max_ns", latency.max());
+            fields.f64("mean_ns", latency.mean());
+            fields.object("snapshot_size", |size| {
+                size.u64("entries", SNAPSHOT_ENTRIES as u64);
+                size.u64("json_bytes", snapshot.json_bytes);
+                size.u64("bin_bytes", snapshot.bin_bytes);
+            });
+            fields.value("stage_cache", |out| stage_stats_json(out, stage_rows));
+            fields.object("sampling", |demo| {
+                demo.u64("fixed_samples_used", sampling.fixed_used as u64);
+                demo.u64("adaptive_samples_used", sampling.adaptive_used as u64);
+                demo.u64("sample_cap", sampling.cap as u64);
+                demo.u64("runs", sampling.stats.runs);
+                demo.u64("samples_requested", sampling.stats.samples_requested);
+                demo.u64("samples_used", sampling.stats.samples_used);
+            });
+            fields.value("benchmarks", |out| {
+                write_array(out, &benchmarks, benchmark_row)
+            });
+        });
+    })
 }
 
 fn print_pass(label: &str, outcome: &NetStressOutcome, pass: &PassStats) {

@@ -93,7 +93,7 @@ use rand::{Rng, SeedableRng};
 
 use decoder_sim::codec::{
     config_from_json, config_to_json, defect_from_json, defect_to_json, disturbance_from_json,
-    disturbance_to_json, JsonValue,
+    disturbance_to_json, write_object, write_opt, JsonCursor, JsonTape,
 };
 use decoder_sim::{
     chunk_seed, CacheStats, DefectKind, DisturbanceKind, ExecutionEngine, PlatformReport, Result,
@@ -253,23 +253,19 @@ impl ReportRequest {
     /// Encodes the request as a wire JSON document.
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        JsonValue::Object(vec![
-            (
-                "schema_version".to_string(),
-                JsonValue::from_u64(WIRE_SCHEMA_VERSION),
-            ),
-            ("config".to_string(), config_to_json(&self.config)),
-            (
-                "disturbance".to_string(),
-                self.disturbance
-                    .map_or(JsonValue::Null, disturbance_to_json),
-            ),
-            (
-                "defects".to_string(),
-                self.defects.map_or(JsonValue::Null, defect_to_json),
-            ),
-        ])
-        .render()
+        // A request is about 1 kB: the configuration plus its overrides.
+        let mut out = String::with_capacity(1_280);
+        write_object(&mut out, |fields| {
+            fields.u64("schema_version", WIRE_SCHEMA_VERSION);
+            fields.value("config", |out| config_to_json(&self.config, out));
+            fields.value("disturbance", |out| {
+                write_opt(out, self.disturbance, disturbance_to_json);
+            });
+            fields.value("defects", |out| {
+                write_opt(out, self.defects, defect_to_json);
+            });
+        });
+        out
     }
 
     /// Decodes a wire JSON request. The `defects` override is optional on
@@ -281,7 +277,8 @@ impl ReportRequest {
     /// Returns [`decoder_sim::SimError::Persistence`] on malformed JSON or a mismatched
     /// `schema_version`, or propagates configuration validation errors.
     pub fn from_json_str(request_json: &str) -> Result<Self> {
-        let value = JsonValue::parse(request_json)?;
+        let tape = JsonTape::parse(request_json)?;
+        let value = tape.root();
         let version = value.get("schema_version")?.as_u64()?;
         if version != WIRE_SCHEMA_VERSION {
             return Err(wire_err(format!(
@@ -289,14 +286,16 @@ impl ReportRequest {
             )));
         }
         let config = config_from_json(value.get("config")?)?;
-        let disturbance = match value.get("disturbance")? {
-            JsonValue::Null => None,
-            kind => Some(disturbance_from_json(kind)?),
-        };
-        let defects = match value.get_opt("defects")? {
-            None | Some(JsonValue::Null) => None,
-            Some(kind) => Some(defect_from_json(kind)?),
-        };
+        let disturbance = value
+            .get("disturbance")?
+            .non_null()
+            .map(disturbance_from_json)
+            .transpose()?;
+        let defects = value
+            .get_opt("defects")?
+            .and_then(JsonCursor::non_null)
+            .map(defect_from_json)
+            .transpose()?;
         Ok(ReportRequest {
             config,
             disturbance,

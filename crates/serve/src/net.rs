@@ -15,6 +15,14 @@
 //! handle them by routing received frames through
 //! [`crate::binwire::parse_reply_any`].
 //!
+//! A worker reads its connection through a per-connection frame reader
+//! whose buffer and offset survive the poll timeouts, so a frame that
+//! arrives in pieces — a prefix, a pause, then the payload — is reassembled
+//! rather than desynchronising the stream. The length prefix is checked
+//! against [`MAX_FRAME_BYTES`] before the buffer grows for it, and a peer
+//! that stalls mid-frame for longer than a fixed per-frame deadline is
+//! closed.
+//!
 //! # Pool, backpressure, shed
 //!
 //! [`NetServer::bind`] starts one acceptor thread and a fixed pool of
@@ -243,25 +251,118 @@ fn read_full(reader: &mut impl Read, buffer: &mut [u8]) -> io::Result<usize> {
 
 /// One read attempt on a connection with a timeout armed.
 enum ReadStep {
-    Frame(Vec<u8>),
+    /// A whole frame arrived; its payload is [`FrameReader::frame`].
+    Frame,
     Eof,
     Idle,
     Failed,
 }
 
-fn read_frame_step(stream: &mut TcpStream) -> ReadStep {
-    match read_frame(stream) {
-        Ok(Some(frame)) => ReadStep::Frame(frame),
-        Ok(None) => ReadStep::Eof,
-        Err(error)
-            if matches!(
-                error.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            ReadStep::Idle
+/// The server's receive side of one connection. The bytes read so far and
+/// the offset reached survive across poll timeouts, so a frame that arrives
+/// in pieces is reassembled instead of desynchronising the stream, and one
+/// `read` takes prefix and payload together when both have arrived.
+struct FrameReader {
+    /// Received bytes live in `buffer[..filled]`; the allocation is only
+    /// grown past [`READ_BUFFER_BYTES`] for a frame whose validated prefix
+    /// asks for it.
+    buffer: Vec<u8>,
+    filled: usize,
+    /// Length (prefix included) of the frame the last step handed out,
+    /// dropped at the next step.
+    consumed: usize,
+    /// When the first byte of the frame in progress arrived.
+    frame_started: Option<Instant>,
+}
+
+/// Receive-buffer size of a connection: several typical frames.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
+/// Longest a peer may take to deliver one frame after its first byte
+/// arrived. A peer stalled mid-frame past it is closed.
+const FRAME_DEADLINE: Duration = Duration::from_secs(5);
+
+impl FrameReader {
+    fn new() -> Self {
+        FrameReader {
+            buffer: vec![0; READ_BUFFER_BYTES],
+            filled: 0,
+            consumed: 0,
+            frame_started: None,
         }
-        Err(_) => ReadStep::Failed,
+    }
+
+    /// The payload of the frame the last [`FrameReader::step`] returned.
+    fn frame(&self) -> &[u8] {
+        &self.buffer[4..self.consumed]
+    }
+
+    /// The full length (prefix included) of the frame at the head of the
+    /// buffer once its prefix is in; `Err` for a prefix over
+    /// [`MAX_FRAME_BYTES`].
+    fn head_frame_len(&self) -> std::result::Result<Option<usize>, ()> {
+        let Some(prefix) = self.buffer[..self.filled].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let length = u32::from_be_bytes(*prefix);
+        if length > MAX_FRAME_BYTES {
+            return Err(());
+        }
+        Ok(Some(4 + length as usize))
+    }
+
+    fn step(&mut self, stream: &mut impl Read) -> ReadStep {
+        if self.consumed > 0 {
+            // Drop the frame handed out last time, keeping any bytes the
+            // peer pipelined behind it.
+            self.buffer.copy_within(self.consumed..self.filled, 0);
+            self.filled -= self.consumed;
+            self.consumed = 0;
+            self.frame_started = (self.filled > 0).then(Instant::now);
+            if self.filled == 0 && self.buffer.len() > READ_BUFFER_BYTES {
+                self.buffer.truncate(READ_BUFFER_BYTES);
+                self.buffer.shrink_to_fit();
+            }
+        }
+        loop {
+            match self.head_frame_len() {
+                Err(()) => return ReadStep::Failed,
+                Ok(Some(total)) if self.filled >= total => {
+                    self.consumed = total;
+                    return ReadStep::Frame;
+                }
+                Ok(Some(total)) if self.buffer.len() < total => self.buffer.resize(total, 0),
+                Ok(_) => {}
+            }
+            match stream.read(&mut self.buffer[self.filled..]) {
+                // A clean close between frames; mid-frame it is a failure.
+                Ok(0) if self.filled == 0 => return ReadStep::Eof,
+                Ok(0) => return ReadStep::Failed,
+                Ok(read) => {
+                    if self.filled == 0 {
+                        self.frame_started = Some(Instant::now());
+                    }
+                    self.filled += read;
+                }
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                Err(error)
+                    if matches!(
+                        error.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    let stalled = self
+                        .frame_started
+                        .is_some_and(|started| started.elapsed() > FRAME_DEADLINE);
+                    return if stalled {
+                        ReadStep::Failed
+                    } else {
+                        ReadStep::Idle
+                    };
+                }
+                Err(_) => return ReadStep::Failed,
+            }
+        }
     }
 }
 
@@ -509,6 +610,7 @@ fn serve_connection(
     {
         return;
     }
+    let mut reader = FrameReader::new();
     let mut drain_deadline: Option<Instant> = None;
     loop {
         if drain_deadline.is_none() && shutdown.load(Ordering::Acquire) {
@@ -529,16 +631,17 @@ fn serve_connection(
                 return;
             }
         }
-        match read_frame_step(&mut stream) {
-            ReadStep::Frame(frame) => {
+        match reader.step(&mut stream) {
+            ReadStep::Frame => {
+                let frame = reader.frame();
                 // Per-frame codec negotiation: a binary request frame gets a
                 // binary reply, anything else goes down the JSON path (whose
                 // typed bad_request covers non-UTF-8 garbage too), so a
                 // JSON-era client never sees a byte it cannot parse.
-                let response = if decoder_sim::bincodec::is_binary(&frame) {
-                    handle_bin(handler, &frame)
+                let response = if decoder_sim::bincodec::is_binary(frame) {
+                    handle_bin(handler, frame)
                 } else {
-                    match std::str::from_utf8(&frame) {
+                    match std::str::from_utf8(frame) {
                         Ok(request_json) => handle_json(handler, request_json).into_bytes(),
                         Err(_) => error_response(&WireError::new(
                             WireErrorKind::BadRequest,
@@ -810,6 +913,126 @@ mod tests {
                 .kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    /// Replays scripted reads: each `Some` chunk is delivered (split if the
+    /// caller's buffer is smaller), each `None` is a poll timeout, and the
+    /// end of the script is EOF.
+    struct Script {
+        reads: std::collections::VecDeque<Option<Vec<u8>>>,
+        calls: usize,
+    }
+
+    impl Script {
+        fn new(reads: Vec<Option<Vec<u8>>>) -> Self {
+            Script {
+                reads: reads.into(),
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buffer: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            match self.reads.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    let read = chunk.len().min(buffer.len());
+                    buffer[..read].copy_from_slice(&chunk[..read]);
+                    if read < chunk.len() {
+                        self.reads.push_front(Some(chunk[read..].to_vec()));
+                    }
+                    Ok(read)
+                }
+            }
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).unwrap();
+        frame
+    }
+
+    fn expect_frame(reader: &mut FrameReader, script: &mut Script, payload: &[u8]) {
+        assert!(matches!(reader.step(script), ReadStep::Frame));
+        assert_eq!(reader.frame(), payload);
+    }
+
+    #[test]
+    fn frame_reader_reassembles_frames_split_across_poll_timeouts() {
+        let first = framed(b"{\"split\":true}");
+        let second = framed(b"pipelined");
+        let mut tail = first[6..].to_vec();
+        tail.extend_from_slice(&second);
+        let mut script = Script::new(vec![
+            Some(first[..2].to_vec()),
+            None,
+            Some(first[2..4].to_vec()),
+            None,
+            Some(first[4..6].to_vec()),
+            None,
+            Some(tail),
+        ]);
+        let mut reader = FrameReader::new();
+        for _ in 0..3 {
+            assert!(matches!(reader.step(&mut script), ReadStep::Idle));
+        }
+        expect_frame(&mut reader, &mut script, b"{\"split\":true}");
+        // The frame pipelined behind it is served without another read.
+        let calls = script.calls;
+        expect_frame(&mut reader, &mut script, b"pipelined");
+        assert_eq!(script.calls, calls);
+        assert!(matches!(reader.step(&mut script), ReadStep::Eof));
+    }
+
+    #[test]
+    fn frame_reader_takes_prefix_and_payload_in_one_read() {
+        let mut script = Script::new(vec![Some(framed(b"whole"))]);
+        let mut reader = FrameReader::new();
+        expect_frame(&mut reader, &mut script, b"whole");
+        assert_eq!(script.calls, 1);
+    }
+
+    #[test]
+    fn frame_reader_grows_for_large_frames_and_shrinks_back() {
+        let large = vec![7u8; 3 * READ_BUFFER_BYTES];
+        let mut script = Script::new(vec![Some(framed(&large)), Some(framed(b"small"))]);
+        let mut reader = FrameReader::new();
+        expect_frame(&mut reader, &mut script, &large);
+        expect_frame(&mut reader, &mut script, b"small");
+        assert_eq!(reader.buffer.len(), READ_BUFFER_BYTES);
+    }
+
+    #[test]
+    fn frame_reader_rejects_oversized_prefixes_and_truncated_frames() {
+        // The bound is checked on the prefix, before anything is allocated.
+        let oversized = (MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.step(&mut Script::new(vec![Some(oversized)])),
+            ReadStep::Failed
+        ));
+        assert_eq!(reader.buffer.len(), READ_BUFFER_BYTES);
+
+        let mut truncated = framed(b"full frame");
+        truncated.truncate(truncated.len() - 3);
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.step(&mut Script::new(vec![Some(truncated)])),
+            ReadStep::Failed
+        ));
+    }
+
+    #[test]
+    fn frame_reader_closes_a_peer_stalled_past_the_frame_deadline() {
+        let mut reader = FrameReader::new();
+        let mut script = Script::new(vec![Some(vec![0, 0]), None, None]);
+        assert!(matches!(reader.step(&mut script), ReadStep::Idle));
+        reader.frame_started = Some(Instant::now() - FRAME_DEADLINE - Duration::from_millis(1));
+        assert!(matches!(reader.step(&mut script), ReadStep::Failed));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! ```
 
 use decoder_sim::codec::{
-    report_from_json, report_to_json, wire_error_kind_from_json, wire_error_kind_to_json, JsonValue,
+    report_from_json, report_to_json, wire_error_kind_from_json, wire_error_kind_to_json,
+    write_object, JsonTape, ObjectWriter,
 };
 use decoder_sim::{PlatformReport, Result, SimError, WireErrorKind};
 
@@ -76,47 +77,40 @@ pub enum WireReply {
     Error(WireError),
 }
 
-fn versioned(mut fields: Vec<(String, JsonValue)>) -> String {
-    fields.insert(
-        0,
-        (
-            "schema_version".to_string(),
-            JsonValue::from_u64(WIRE_SCHEMA_VERSION),
-        ),
-    );
-    JsonValue::Object(fields).render()
+/// Bytes reserved for an encoded response: a report reply is about 600.
+const REPLY_CAPACITY: usize = 768;
+
+/// Renders a response object: the schema version, then `fields`.
+fn versioned(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::with_capacity(REPLY_CAPACITY);
+    write_object(&mut out, |members| {
+        members.u64("schema_version", WIRE_SCHEMA_VERSION);
+        fields(members);
+    });
+    out
 }
 
 /// Encodes a successful response.
 #[must_use]
 pub fn ok_response(report: &PlatformReport) -> String {
-    versioned(vec![
-        ("status".to_string(), JsonValue::String("ok".to_string())),
-        ("report".to_string(), report_to_json(report)),
-    ])
+    versioned(|fields| {
+        fields.str("status", "ok");
+        fields.value("report", |out| report_to_json(report, out));
+    })
 }
 
 /// Encodes a typed error response. The legacy top-level `reason` is kept so
 /// clients that predate the typed `error` object still see the failure.
 #[must_use]
 pub fn error_response(error: &WireError) -> String {
-    versioned(vec![
-        ("status".to_string(), JsonValue::String("error".to_string())),
-        (
-            "error".to_string(),
-            JsonValue::Object(vec![
-                ("kind".to_string(), wire_error_kind_to_json(error.kind)),
-                (
-                    "reason".to_string(),
-                    JsonValue::String(error.reason.clone()),
-                ),
-            ]),
-        ),
-        (
-            "reason".to_string(),
-            JsonValue::String(error.reason.clone()),
-        ),
-    ])
+    versioned(|fields| {
+        fields.str("status", "error");
+        fields.object("error", |typed| {
+            typed.value("kind", |out| wire_error_kind_to_json(error.kind, out));
+            typed.str("reason", &error.reason);
+        });
+        fields.str("reason", &error.reason);
+    })
 }
 
 /// Decodes a wire response into the typed reply — the client half of the
@@ -131,7 +125,8 @@ pub fn error_response(error: &WireError) -> String {
 /// Returns [`SimError::Persistence`] on malformed JSON, a mismatched
 /// `schema_version`, or an unknown status/kind tag.
 pub fn parse_reply(response_json: &str) -> Result<WireReply> {
-    let value = JsonValue::parse(response_json)?;
+    let tape = JsonTape::parse(response_json)?;
+    let value = tape.root();
     let version = value.get("schema_version")?.as_u64()?;
     if version != WIRE_SCHEMA_VERSION {
         return Err(wire_err(format!(
@@ -177,7 +172,8 @@ mod tests {
     #[test]
     fn error_responses_carry_both_typed_and_legacy_fields() {
         let encoded = error_response(&WireError::new(WireErrorKind::Overloaded, "queue full"));
-        let value = JsonValue::parse(&encoded).unwrap();
+        let tape = JsonTape::parse(&encoded).unwrap();
+        let value = tape.root();
         assert_eq!(value.get("status").unwrap().as_str().unwrap(), "error");
         assert_eq!(
             value

@@ -303,3 +303,37 @@ fn graceful_shutdown_drains_in_flight_requests() {
         assert_eq!(eof, None, "connection did not close cleanly after drain");
     }
 }
+
+#[test]
+fn a_frame_split_across_a_pause_gets_its_reply() {
+    // The client sends the length prefix, pauses past several of the
+    // server's poll intervals, then sends the payload. The server must
+    // reassemble the frame instead of dropping the prefix it already read.
+    use std::io::Write;
+
+    let server = report_server(1);
+    let handle = NetServer::bind(config(1, 4), Arc::new(server)).unwrap();
+    let request = mix().remove(0);
+    let payload = request.to_json_string().into_bytes();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .write_all(&u32::try_from(payload.len()).unwrap().to_be_bytes())
+        .unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(&payload).unwrap();
+    stream.flush().unwrap();
+
+    let reply = mspt_serve::read_frame(&mut stream)
+        .unwrap()
+        .expect("the server closed without a reply");
+    let reference = SimulationPlatform::new(request.effective_config())
+        .evaluate()
+        .unwrap();
+    match parse_reply_any(&reply).unwrap() {
+        WireReply::Report(report) => assert_eq!(report, reference),
+        WireReply::Error(error) => panic!("split frame failed: {error}"),
+    }
+    handle.shutdown();
+}

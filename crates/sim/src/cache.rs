@@ -86,7 +86,7 @@ use crossbar_array::chunk_seed;
 use crate::bincodec::{self, BinReader, BinWriter};
 use crate::codec::{
     canonical_config_string, config_from_json, config_to_json, report_from_json, report_to_json,
-    JsonValue,
+    write_array, write_object, JsonTape,
 };
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
@@ -853,26 +853,19 @@ impl ReportCache {
     fn snapshot_with_count(&self) -> (String, usize) {
         let rows = self.snapshot_rows();
         let count = rows.len();
-        let snapshot = JsonValue::Object(vec![
-            (
-                "schema_version".to_string(),
-                JsonValue::from_u64(CACHE_SCHEMA_VERSION),
-            ),
-            (
-                "entries".to_string(),
-                JsonValue::Array(
-                    rows.iter()
-                        .map(|(_, config, report)| {
-                            JsonValue::Object(vec![
-                                ("config".to_string(), config_to_json(config)),
-                                ("report".to_string(), report_to_json(report)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render();
+        // About 1.3 kB of JSON per row: a configuration and its report.
+        let mut snapshot = String::with_capacity(64 + count * 1_536);
+        write_object(&mut snapshot, |fields| {
+            fields.u64("schema_version", CACHE_SCHEMA_VERSION);
+            fields.value("entries", |out| {
+                write_array(out, &rows, |out, (_, config, report)| {
+                    write_object(out, |row| {
+                        row.value("config", |out| config_to_json(config, out));
+                        row.value("report", |out| report_to_json(report, out));
+                    });
+                });
+            });
+        });
         (snapshot, count)
     }
 
@@ -989,7 +982,8 @@ impl ReportCache {
     /// `schema_version` other than [`CACHE_SCHEMA_VERSION`] — a snapshot
     /// from a different format generation is rejected, never reinterpreted.
     pub fn load_snapshot(&self, snapshot: &str) -> Result<usize> {
-        let value = JsonValue::parse(snapshot)?;
+        let tape = JsonTape::parse(snapshot)?;
+        let value = tape.root();
         let version = value.get("schema_version")?.as_u64()?;
         if version != CACHE_SCHEMA_VERSION {
             return Err(SimError::Persistence {
@@ -998,9 +992,8 @@ impl ReportCache {
                 ),
             });
         }
-        let entries = value.get("entries")?.as_array()?;
         let mut loaded = 0;
-        for row in entries {
+        for row in value.get("entries")?.as_array()? {
             let config = config_from_json(row.get("config")?)?;
             let report = report_from_json(row.get("report")?)?;
             if self.insert_row(config, report) {

@@ -16,7 +16,7 @@ use decoder_sim::bincodec::{
     config_from_bin, config_to_bin, report_from_bin, report_to_bin, BIN_MAGIC, BIN_SCHEMA_VERSION,
     DOC_CONFIG, DOC_REPORT,
 };
-use decoder_sim::codec::{config_to_json, report_to_json};
+use decoder_sim::codec::{config_to_json, render, report_to_json};
 use decoder_sim::{DefectKind, DisturbanceKind, PlatformReport, ReportCache, SimConfig};
 use device_physics::Volts;
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
@@ -104,7 +104,7 @@ fn golden_config_binary_bytes_are_pinned() {
 fn golden_config_json_text_is_pinned() {
     assert_fixture(
         "golden_config.json",
-        config_to_json(&golden_config()).render().as_bytes(),
+        render(|out| config_to_json(&golden_config(), out)).as_bytes(),
     );
 }
 
@@ -126,7 +126,7 @@ fn golden_report_binary_bytes_are_pinned() {
 fn golden_report_json_text_is_pinned() {
     assert_fixture(
         "golden_report.json",
-        report_to_json(&golden_report()).render().as_bytes(),
+        render(|out| report_to_json(&golden_report(), out)).as_bytes(),
     );
 }
 

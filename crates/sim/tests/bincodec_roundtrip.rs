@@ -20,8 +20,8 @@ use decoder_sim::bincodec::{
 };
 use decoder_sim::codec::{
     code_spec_from_json, code_spec_to_json, config_from_json, config_to_json, defect_from_json,
-    defect_to_json, disturbance_from_json, disturbance_to_json, report_from_json, report_to_json,
-    wire_error_kind_from_json, wire_error_kind_to_json, JsonValue,
+    defect_to_json, disturbance_from_json, disturbance_to_json, render, report_from_json,
+    report_to_json, wire_error_kind_from_json, wire_error_kind_to_json, JsonCursor, JsonTape,
 };
 use decoder_sim::{
     DefectKind, DisturbanceKind, PlatformReport, ReportCache, SimConfig, WireErrorKind,
@@ -204,16 +204,22 @@ fn report_strategy() -> impl Strategy<Value = PlatformReport> {
         )
 }
 
-/// Renders, reparses and decodes through the JSON text layer — the full
-/// pipeline a snapshot row or wire frame traverses, not just the tree.
+/// Renders with `encode`, reparses and decodes with `decode` — the full
+/// pipeline a snapshot row or wire frame traverses.
+fn through_json<T>(
+    encode: impl FnOnce(&mut String),
+    decode: impl FnOnce(JsonCursor<'_>) -> decoder_sim::Result<T>,
+) -> T {
+    let text = render(encode);
+    decode(JsonTape::parse(&text).unwrap().root()).unwrap()
+}
+
 fn config_through_json_text(config: &SimConfig) -> SimConfig {
-    let text = config_to_json(config).render();
-    config_from_json(&JsonValue::parse(&text).unwrap()).unwrap()
+    through_json(|out| config_to_json(config, out), config_from_json)
 }
 
 fn report_through_json_text(report: &PlatformReport) -> PlatformReport {
-    let text = report_to_json(report).render();
-    report_from_json(&JsonValue::parse(&text).unwrap()).unwrap()
+    through_json(|out| report_to_json(report, out), report_from_json)
 }
 
 proptest! {
@@ -235,9 +241,9 @@ proptest! {
     /// which codec carried the configuration.
     #[test]
     fn config_codecs_are_differentially_equal(config in config_strategy()) {
-        let json = config_to_json(&config).render();
+        let json = render(|out| config_to_json(&config, out));
         let via_bin = config_from_bin(&config_to_bin(&config_through_json_text(&config))).unwrap();
-        prop_assert_eq!(config_to_json(&via_bin).render(), json);
+        prop_assert_eq!(render(|out| config_to_json(&via_bin, out)), json);
 
         let bytes = config_to_bin(&config);
         let via_json = config_through_json_text(&config_from_bin(&bytes).unwrap());
@@ -265,9 +271,9 @@ proptest! {
     /// chains, negative zero and subnormals included.
     #[test]
     fn report_codecs_are_differentially_equal(report in report_strategy()) {
-        let json = report_to_json(&report).render();
+        let json = render(|out| report_to_json(&report, out));
         let via_bin = report_from_bin(&report_to_bin(&report_through_json_text(&report))).unwrap();
-        prop_assert_eq!(report_to_json(&via_bin).render(), json);
+        prop_assert_eq!(render(|out| report_to_json(&via_bin, out)), json);
         prop_assert_eq!(
             via_bin.crossbar_yield.to_bits(),
             report.crossbar_yield.to_bits()
@@ -286,7 +292,7 @@ proptest! {
     fn code_spec_codecs_agree(code in code_spec_strategy()) {
         let bytes = code_spec_to_bin(code);
         prop_assert_eq!(code_spec_from_bin(&bytes).unwrap(), code);
-        let via_json = code_spec_from_json(&code_spec_to_json(code)).unwrap();
+        let via_json = through_json(|out| code_spec_to_json(code, out), code_spec_from_json);
         prop_assert_eq!(code_spec_to_bin(via_json), bytes);
     }
 
@@ -295,7 +301,7 @@ proptest! {
         let bytes = disturbance_to_bin(kind);
         let decoded = disturbance_from_bin(&bytes).unwrap();
         prop_assert_eq!(disturbance_to_bin(decoded), bytes.clone());
-        let via_json = disturbance_from_json(&disturbance_to_json(kind)).unwrap();
+        let via_json = through_json(|out| disturbance_to_json(kind, out), disturbance_from_json);
         prop_assert_eq!(disturbance_to_bin(via_json), bytes);
     }
 
@@ -304,7 +310,7 @@ proptest! {
         let bytes = defect_to_bin(kind);
         let decoded = defect_from_bin(&bytes).unwrap();
         prop_assert_eq!(defect_to_bin(decoded), bytes.clone());
-        let via_json = defect_from_json(&defect_to_json(kind)).unwrap();
+        let via_json = through_json(|out| defect_to_json(kind, out), defect_from_json);
         prop_assert_eq!(defect_to_bin(via_json), bytes);
     }
 }
@@ -314,7 +320,10 @@ fn wire_error_kinds_agree_across_codecs() {
     for kind in WireErrorKind::ALL {
         let bytes = wire_error_kind_to_bin(kind);
         assert_eq!(wire_error_kind_from_bin(&bytes).unwrap(), kind);
-        let via_json = wire_error_kind_from_json(&wire_error_kind_to_json(kind)).unwrap();
+        let via_json = through_json(
+            |out| wire_error_kind_to_json(kind, out),
+            wire_error_kind_from_json,
+        );
         assert_eq!(wire_error_kind_to_bin(via_json), bytes);
     }
 }

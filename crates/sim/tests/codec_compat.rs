@@ -6,11 +6,12 @@
 //! evaluation.
 
 use decoder_sim::codec::{
-    config_from_json, config_to_json, report_from_json, report_to_json, JsonValue,
+    config_from_json, config_to_json, render, report_from_json, report_to_json, write_array,
+    write_object, JsonTape,
 };
 use decoder_sim::{
-    CacheConfig, DefectKind, MonteCarloConfig, ReportCache, SimConfig, SimulationPlatform,
-    CACHE_SCHEMA_VERSION,
+    CacheConfig, DefectKind, MonteCarloConfig, PlatformReport, ReportCache, SimConfig,
+    SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -19,19 +20,41 @@ fn config(kind: CodeKind, length: usize) -> SimConfig {
     SimConfig::paper_defaults(code).unwrap()
 }
 
-/// Strips top-level keys from an object — the shape of a document written
-/// by a build that predates those fields.
-fn without_keys(value: &JsonValue, keys: &[&str]) -> JsonValue {
-    match value {
-        JsonValue::Object(fields) => JsonValue::Object(
-            fields
-                .iter()
-                .filter(|(name, _)| !keys.contains(&name.as_str()))
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
-    }
+/// Strips top-level keys from an object document — the shape of a
+/// document written by a build that predates those fields.
+fn without_keys(document: &str, keys: &[&str]) -> String {
+    let tape = JsonTape::parse(document).unwrap();
+    render(|out| {
+        write_object(out, |fields| {
+            for (name, value) in tape.root().members().unwrap() {
+                if !keys.contains(&name) {
+                    fields.value(name, |out| out.push_str(value.source()));
+                }
+            }
+        });
+    })
+}
+
+fn config_json(config: &SimConfig) -> String {
+    render(|out| config_to_json(config, out))
+}
+
+fn report_json(report: &PlatformReport) -> String {
+    render(|out| report_to_json(report, out))
+}
+
+fn decode_config(document: &str) -> SimConfig {
+    config_from_json(JsonTape::parse(document).unwrap().root()).unwrap()
+}
+
+fn decode_report(document: &str) -> PlatformReport {
+    report_from_json(JsonTape::parse(document).unwrap().root()).unwrap()
+}
+
+/// Whether a document's top-level object holds `key`.
+fn has_key(document: &str, key: &str) -> bool {
+    let tape = JsonTape::parse(document).unwrap();
+    tape.root().get_opt(key).unwrap().is_some()
 }
 
 const REPORT_DEFECT_KEYS: [&str; 4] = [
@@ -44,9 +67,9 @@ const REPORT_DEFECT_KEYS: [&str; 4] = [
 #[test]
 fn pre_defect_configs_decode_as_defect_free() {
     let expected = config(CodeKind::BalancedGray, 10);
-    let legacy = without_keys(&config_to_json(&expected), &["defects"]);
-    assert!(legacy.get_opt("defects").unwrap().is_none());
-    let decoded = config_from_json(&legacy).unwrap();
+    let legacy = without_keys(&config_json(&expected), &["defects"]);
+    assert!(!has_key(&legacy, "defects"));
+    let decoded = decode_config(&legacy);
     assert_eq!(decoded.defects(), DefectKind::None);
     // The decoded configuration is indistinguishable from a fresh one —
     // same identity, same cache fingerprint.
@@ -63,9 +86,9 @@ fn pre_adaptive_configs_decode_with_fixed_sampling_defaults() {
     // the config object at all. It must decode to the historical
     // fixed-sample default and stay identity-equal to a fresh config.
     let expected = config(CodeKind::BalancedGray, 10);
-    let legacy = without_keys(&config_to_json(&expected), &["monte_carlo"]);
-    assert!(legacy.get_opt("monte_carlo").unwrap().is_none());
-    let decoded = config_from_json(&legacy).unwrap();
+    let legacy = without_keys(&config_json(&expected), &["monte_carlo"]);
+    assert!(!has_key(&legacy, "monte_carlo"));
+    let decoded = decode_config(&legacy);
     assert_eq!(decoded.monte_carlo(), MonteCarloConfig::default());
     assert!(!decoded.monte_carlo().is_adaptive());
     assert_eq!(decoded, expected);
@@ -75,8 +98,8 @@ fn pre_adaptive_configs_decode_with_fixed_sampling_defaults() {
     );
     // A config stripped of *both* additive dimensions — the oldest wire
     // shape still in the field — decodes too.
-    let oldest = without_keys(&config_to_json(&expected), &["defects", "monte_carlo"]);
-    assert_eq!(config_from_json(&oldest).unwrap(), expected);
+    let oldest = without_keys(&config_json(&expected), &["defects", "monte_carlo"]);
+    assert_eq!(decode_config(&oldest), expected);
 }
 
 #[test]
@@ -84,8 +107,8 @@ fn pre_defect_reports_decode_with_defect_free_composites() {
     let expected = SimulationPlatform::new(config(CodeKind::Tree, 8))
         .evaluate()
         .unwrap();
-    let legacy = without_keys(&report_to_json(&expected), &REPORT_DEFECT_KEYS);
-    let decoded = report_from_json(&legacy).unwrap();
+    let legacy = without_keys(&report_json(&expected), &REPORT_DEFECT_KEYS);
+    let decoded = decode_report(&legacy);
     assert_eq!(decoded, expected);
     assert_eq!(decoded.defects, DefectKind::None);
     assert_eq!(decoded.defect_survival, 1.0);
@@ -106,9 +129,9 @@ fn mixed_version_round_trips_stay_bit_identical() {
     let fresh = SimulationPlatform::new(config(CodeKind::Gray, 10))
         .evaluate()
         .unwrap();
-    let legacy = without_keys(&report_to_json(&fresh), &REPORT_DEFECT_KEYS);
-    let first = report_from_json(&legacy).unwrap();
-    let second = report_from_json(&report_to_json(&first)).unwrap();
+    let legacy = without_keys(&report_json(&fresh), &REPORT_DEFECT_KEYS);
+    let first = decode_report(&legacy);
+    let second = decode_report(&report_json(&first));
     assert_eq!(first, second);
     assert_eq!(
         first.crossbar_yield.to_bits(),
@@ -125,7 +148,7 @@ fn mixed_version_round_trips_stay_bit_identical() {
     )
     .evaluate()
     .unwrap();
-    let decoded = report_from_json(&report_to_json(&defective)).unwrap();
+    let decoded = decode_report(&report_json(&defective));
     assert_eq!(decoded, defective);
     assert_eq!(
         decoded.composite_yield.to_bits(),
@@ -148,38 +171,37 @@ fn pr4_era_cache_snapshots_load_and_serve_bit_identically() {
         warm.get_or_compute(entry, || SimulationPlatform::new(entry.clone()).evaluate())
             .unwrap();
     }
-    let snapshot = JsonValue::parse(&warm.snapshot_json()).unwrap();
+    let snapshot_text = warm.snapshot_json();
+    let snapshot = JsonTape::parse(&snapshot_text).unwrap();
     assert_eq!(
-        snapshot.get("schema_version").unwrap().as_u64().unwrap(),
+        snapshot
+            .root()
+            .get("schema_version")
+            .unwrap()
+            .as_u64()
+            .unwrap(),
         CACHE_SCHEMA_VERSION
     );
-    let legacy_rows: Vec<JsonValue> = snapshot
-        .get("entries")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                (
-                    "config".to_string(),
-                    without_keys(row.get("config").unwrap(), &["defects", "monte_carlo"]),
-                ),
-                (
-                    "report".to_string(),
-                    without_keys(row.get("report").unwrap(), &REPORT_DEFECT_KEYS),
-                ),
-            ])
-        })
-        .collect();
-    let legacy_snapshot = JsonValue::Object(vec![
-        (
-            "schema_version".to_string(),
-            JsonValue::from_u64(CACHE_SCHEMA_VERSION),
-        ),
-        ("entries".to_string(), JsonValue::Array(legacy_rows)),
-    ])
-    .render();
+    let rows = snapshot.root().get("entries").unwrap().as_array().unwrap();
+    let legacy_snapshot = render(|out| {
+        write_object(out, |fields| {
+            fields.u64("schema_version", CACHE_SCHEMA_VERSION);
+            fields.value("entries", |out| {
+                write_array(out, rows, |out, row| {
+                    write_object(out, |legacy| {
+                        let config = row.get("config").unwrap().source();
+                        let report = row.get("report").unwrap().source();
+                        legacy.value("config", |out| {
+                            out.push_str(&without_keys(config, &["defects", "monte_carlo"]));
+                        });
+                        legacy.value("report", |out| {
+                            out.push_str(&without_keys(report, &REPORT_DEFECT_KEYS));
+                        });
+                    });
+                });
+            });
+        });
+    });
 
     let restored = ReportCache::new(CacheConfig::default());
     assert_eq!(restored.load_snapshot(&legacy_snapshot).unwrap(), 2);

@@ -338,8 +338,8 @@ fn snapshots_are_bounded_to_the_cache_capacity() {
         cache.get_or_compute(entry, || evaluate(entry)).unwrap();
     }
     let snapshot = cache.snapshot_json();
-    let parsed = decoder_sim::codec::JsonValue::parse(&snapshot).unwrap();
-    let rows = parsed.get("entries").unwrap().as_array().unwrap();
+    let parsed = decoder_sim::codec::JsonTape::parse(&snapshot).unwrap();
+    let rows = parsed.root().get("entries").unwrap().as_array().unwrap();
     assert!(
         rows.len() <= 3,
         "snapshot persisted {} rows past the capacity bound of 3",
