@@ -112,9 +112,7 @@ pub use binwire::{
 };
 pub use latency::LatencyHistogram;
 pub use loadgen::{probe_shed, run_net_stress, run_net_stress_codec, NetStressOutcome};
-pub use net::{
-    read_frame, write_frame, NetClient, NetServer, NetServerHandle, ServeConfig, ShedPolicy,
-};
+pub use net::{write_frame, NetClient, NetServer, NetServerHandle, ServeConfig, ShedPolicy};
 pub use wire::{
     error_response, ok_response, parse_reply, parse_response, WireError, WireReply,
     WIRE_SCHEMA_VERSION,

@@ -309,7 +309,7 @@ fn a_frame_split_across_a_pause_gets_its_reply() {
     // The client sends the length prefix, pauses past several of the
     // server's poll intervals, then sends the payload. The server must
     // reassemble the frame instead of dropping the prefix it already read.
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     let server = report_server(1);
     let handle = NetServer::bind(config(1, 4), Arc::new(server)).unwrap();
@@ -325,9 +325,10 @@ fn a_frame_split_across_a_pause_gets_its_reply() {
     stream.write_all(&payload).unwrap();
     stream.flush().unwrap();
 
-    let reply = mspt_serve::read_frame(&mut stream)
-        .unwrap()
-        .expect("the server closed without a reply");
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).unwrap();
+    let mut reply = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    stream.read_exact(&mut reply).unwrap();
     let reference = SimulationPlatform::new(request.effective_config())
         .evaluate()
         .unwrap();

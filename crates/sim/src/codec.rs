@@ -934,8 +934,6 @@ impl<'t> Iterator for JsonMembers<'t> {
     }
 }
 
-impl ExactSizeIterator for JsonMembers<'_> {}
-
 // ---------------------------------------------------------- type codecs --
 
 fn volts_from(value: JsonCursor<'_>) -> Result<Volts> {
