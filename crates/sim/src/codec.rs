@@ -108,32 +108,21 @@ pub fn write_f64(out: &mut String, value: f64) {
         out.push_str("null");
     } else if value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 && value != 0.0 {
         // An integral value below 2^53 displays as exactly its integer
-        // digits; writing them directly skips the float formatter.
+        // digits; the integer formatter writes them several times faster
+        // than the float one.
         if value < 0.0 {
             out.push('-');
         }
         write_u64(out, value.abs() as u64);
     } else {
-        // Formatting into a `String` cannot fail.
         let _ = write!(out, "{value}");
     }
 }
 
 /// Appends a `u64` exactly.
-pub fn write_u64(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
-    }
+pub fn write_u64(out: &mut String, value: u64) {
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "{value}");
 }
 
 /// Appends a string literal, escaping quotes, backslashes and control
