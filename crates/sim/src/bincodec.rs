@@ -385,7 +385,9 @@ pub fn document_payload(bytes: &[u8], kind: u8) -> Result<&[u8]> {
 // Leaf encodings (section bodies, no envelope)
 // ---------------------------------------------------------------------------
 
-fn code_kind_tag(kind: CodeKind) -> u8 {
+/// The tag of a code family: its byte in binary documents and its word in
+/// stage memo keys.
+pub(crate) fn code_kind_tag(kind: CodeKind) -> u8 {
     match kind {
         CodeKind::Tree => 0,
         CodeKind::Gray => 1,

@@ -45,10 +45,13 @@
 //!   ([`bincodec::DOC_SNAPSHOT`]) holding a header section and one section
 //!   per row — a write timestamp, the entry's memo fingerprint, and the
 //!   nested binary config/report documents. Saving over an existing binary
-//!   snapshot **appends** only the rows whose fingerprint the file does not
+//!   snapshot **appends** only the rows whose memo key the file does not
 //!   already hold (an O(new) write instead of a full rewrite), falling back
 //!   to a compacting rewrite when the combined row count would exceed the
-//!   capacity bound or the existing file is unreadable.
+//!   capacity bound or the existing file is unreadable or holds a key
+//!   twice. The file's keys are recomputed from its decoded configurations,
+//!   never read from the stored fingerprints, so rows written under an
+//!   earlier keying are recognised.
 //! * **JSON** (set `MSPT_CACHE_FORMAT=json`): the PR 5/6-era text format,
 //!   kept for inspectability; always a full rewrite.
 //!
@@ -68,7 +71,7 @@
 //! platform parameters therefore never alias, in memory or on disk, while
 //! configurations differing only in fields no report depends on (the
 //! disturbance kind and the Monte-Carlo knobs) share one entry. The full
-//! key string is re-checked on every lookup, so a fingerprint collision can
+//! key words are re-checked on every lookup, so a fingerprint collision can
 //! cost a duplicate evaluation but never serve the wrong report. Each entry
 //! keeps the configuration it was first computed for, so snapshots carry a
 //! complete config per row; loading recomputes the key from that config, so
@@ -91,7 +94,7 @@ use crate::codec::{
 use crate::config::SimConfig;
 use crate::error::{Result, SimError};
 use crate::platform::PlatformReport;
-use crate::stage::{composite_stage_key, Stage};
+use crate::stage::{Stage, StageKey};
 
 /// Environment variable overriding the default capacity of every memo slot
 /// (the report slot included).
@@ -254,34 +257,38 @@ fn snapshot_row_section(
     section.into_bytes()
 }
 
+/// The [`TAG_SNAPSHOT_ROW`] section of a cached entry, stamped with the
+/// entry's memo fingerprint.
+fn entry_row_section(written_at: u64, config: &SimConfig, report: &PlatformReport) -> Vec<u8> {
+    let fingerprint = Stage::Composite.key(config).fingerprint();
+    snapshot_row_section(written_at, fingerprint, config, report)
+}
+
 /// A complete binary snapshot document: header section first, then one row
 /// section per entry, all stamped `written_at`.
-fn encode_snapshot_bin(rows: &[(u64, SimConfig, PlatformReport)], written_at: u64) -> Vec<u8> {
+fn encode_snapshot_bin(rows: &[(SimConfig, PlatformReport)], written_at: u64) -> Vec<u8> {
     let mut payload = BinWriter::new();
     let mut header = BinWriter::new();
     header.put_u64(CACHE_SCHEMA_VERSION);
     payload.section(TAG_SNAPSHOT_HEADER, &header.into_bytes());
-    for (fingerprint, config, report) in rows {
-        payload.put_bytes(&snapshot_row_section(
-            written_at,
-            *fingerprint,
-            config,
-            report,
-        ));
+    for (config, report) in rows {
+        payload.put_bytes(&entry_row_section(written_at, config, report));
     }
     bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes())
 }
 
-/// Fingerprints already persisted in a binary snapshot file, read from the
-/// row headers without decoding config/report bodies. `None` when the file
-/// is missing, not a current-version binary snapshot, or damaged — the
-/// appending save then falls back to a full rewrite.
-fn existing_binary_fingerprints(path: &Path) -> Option<BTreeSet<u64>> {
+/// The memo keys of the rows a binary snapshot file holds, recomputed from
+/// each row's decoded configuration (report bodies are skipped, and the
+/// stored fingerprints are ignored: they may come from an earlier keying).
+/// `None` when the file is missing, not a current-version binary snapshot,
+/// damaged, or holds one key twice — the appending save then falls back to
+/// a compacting rewrite.
+fn existing_binary_keys(path: &Path) -> Option<BTreeSet<Box<[u64]>>> {
     let bytes = std::fs::read(path).ok()?;
     let payload = bincodec::document_payload(&bytes, bincodec::DOC_SNAPSHOT).ok()?;
     let mut reader = BinReader::new(payload);
     let mut header_seen = false;
-    let mut fingerprints = BTreeSet::new();
+    let mut keys = BTreeSet::new();
     loop {
         match reader.next_section() {
             Ok(Some((TAG_SNAPSHOT_HEADER, body))) => {
@@ -294,14 +301,21 @@ fn existing_binary_fingerprints(path: &Path) -> Option<BTreeSet<u64>> {
             Ok(Some((TAG_SNAPSHOT_ROW, body))) => {
                 let mut section = BinReader::new(body);
                 section.take_u64().ok()?; // written_at
-                fingerprints.insert(section.take_u64().ok()?);
+                section.take_u64().ok()?; // stored fingerprint
+                let config_length = section.take_u32().ok()? as usize;
+                let config =
+                    bincodec::config_from_bin(section.take_bytes(config_length).ok()?).ok()?;
+                let key = Stage::Composite.key(&config);
+                if !keys.insert(Box::from(key.words())) {
+                    return None;
+                }
             }
             Ok(Some(_)) => {} // Unknown section: skippable, not ours to judge.
             Ok(None) => break,
             Err(_) => return None,
         }
     }
-    header_seen.then_some(fingerprints)
+    header_seen.then_some(keys)
 }
 
 /// A point-in-time view of the cache counters.
@@ -332,10 +346,9 @@ impl CacheStats {
 }
 
 /// FNV-1a over `key`, finalized through [`chunk_seed`] under `domain` at
-/// stream index `index` — the common fingerprint primitive of the stage
-/// memo keys (`STAGE_KEY_DOMAIN`, indexed by stage) and of
-/// [`ReportCache::fingerprint`] (`CACHE_KEY_DOMAIN`, index 0).
-pub(crate) fn key_fingerprint(domain: u64, index: u64, key: &str) -> u64 {
+/// stream index `index` — the hash behind [`ReportCache::fingerprint`]
+/// (`CACHE_KEY_DOMAIN`, index 0).
+fn key_fingerprint(domain: u64, index: u64, key: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in key.bytes() {
         hash ^= u64::from(byte);
@@ -345,13 +358,19 @@ pub(crate) fn key_fingerprint(domain: u64, index: u64, key: &str) -> u64 {
 }
 
 /// One stored entry of a [`MemoCache`]: the shard-selecting fingerprint, the
-/// full canonical key it was derived from, the memoized value and the
+/// words of the [`StageKey`] it was derived from, the memoized value and the
 /// recency tick.
 struct Entry<V> {
     fingerprint: u64,
-    key: String,
+    key: Box<[u64]>,
     value: V,
     last_used: u64,
+}
+
+impl<V> Entry<V> {
+    fn matches(&self, fingerprint: u64, key: &StageKey) -> bool {
+        self.fingerprint == fingerprint && *self.key == *key.words()
+    }
 }
 
 /// The `Mutex` + `Condvar` pair a single-flight leader signals completion on.
@@ -436,10 +455,10 @@ impl<V> Default for Shard<V> {
 /// `Mutex` + `Condvar` single-flight and hit/miss/eviction counters,
 /// generic over the memoized value.
 ///
-/// A key is a `(fingerprint, canonical key string)` pair: the fingerprint
-/// selects the shard and prefilters lookups, and the full key string is
-/// re-checked on every match, so a fingerprint collision can cost a
-/// duplicate computation but never serve the wrong value.
+/// Entries are keyed by a [`StageKey`]: its fingerprint selects the shard
+/// and prefilters lookups, and its full words are re-checked on every
+/// match, so a fingerprint collision can cost a duplicate computation but
+/// never serve the wrong value.
 pub struct MemoCache<V: Clone> {
     config: CacheConfig,
     shards: Vec<Mutex<Shard<V>>>,
@@ -523,7 +542,8 @@ impl<V: Clone> MemoCache<V> {
     /// recency or touch the counters — a pure probe for tests and
     /// diagnostics.
     #[must_use]
-    pub fn contains_key(&self, fingerprint: u64, key: &str) -> bool {
+    pub fn contains_key(&self, key: &StageKey) -> bool {
+        let fingerprint = key.fingerprint();
         let shard = self
             .shard_for(fingerprint)
             .lock()
@@ -531,7 +551,7 @@ impl<V: Clone> MemoCache<V> {
         shard
             .entries
             .iter()
-            .any(|entry| entry.fingerprint == fingerprint && entry.key == key)
+            .any(|entry| entry.matches(fingerprint, key))
     }
 
     /// The current counter values.
@@ -547,7 +567,8 @@ impl<V: Clone> MemoCache<V> {
 
     /// Inserts an entry under its shard lock — see
     /// [`MemoCache::insert_locked`]. Returns whether the entry was stored.
-    pub fn insert(&self, fingerprint: u64, key: &str, value: &V) -> bool {
+    pub fn insert(&self, key: &StageKey, value: &V) -> bool {
+        let fingerprint = key.fingerprint();
         let mut shard = self
             .shard_for(fingerprint)
             .lock()
@@ -559,7 +580,13 @@ impl<V: Clone> MemoCache<V> {
     /// least-recently-used entries beyond the shard bound. Returns whether
     /// the entry was stored — `false` for an already-present key or a
     /// disabled table.
-    fn insert_locked(&self, shard: &mut Shard<V>, fingerprint: u64, key: &str, value: &V) -> bool {
+    fn insert_locked(
+        &self,
+        shard: &mut Shard<V>,
+        fingerprint: u64,
+        key: &StageKey,
+        value: &V,
+    ) -> bool {
         let capacity = self.shard_capacity();
         if capacity == 0 {
             return false;
@@ -567,13 +594,13 @@ impl<V: Clone> MemoCache<V> {
         if shard
             .entries
             .iter()
-            .any(|entry| entry.fingerprint == fingerprint && entry.key == key)
+            .any(|entry| entry.matches(fingerprint, key))
         {
             return false;
         }
         shard.entries.push(Entry {
             fingerprint,
-            key: key.to_string(),
+            key: Box::from(key.words()),
             value: value.clone(),
             last_used: self.next_tick(),
         });
@@ -604,10 +631,11 @@ impl<V: Clone> MemoCache<V> {
     /// # Errors
     ///
     /// Propagates `compute`'s error (the table never stores failures).
-    pub fn get_or_compute<F>(&self, fingerprint: u64, key: &str, compute: F) -> Result<V>
+    pub fn get_or_compute<F>(&self, key: &StageKey, compute: F) -> Result<V>
     where
         F: FnOnce() -> Result<V>,
     {
+        let fingerprint = key.fingerprint();
         let mut compute = Some(compute);
         loop {
             let flight = {
@@ -618,7 +646,7 @@ impl<V: Clone> MemoCache<V> {
                 if let Some(entry) = shard
                     .entries
                     .iter_mut()
-                    .find(|entry| entry.fingerprint == fingerprint && entry.key == key)
+                    .find(|entry| entry.matches(fingerprint, key))
                 {
                     entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -665,20 +693,15 @@ impl<V: Clone> MemoCache<V> {
     }
 
     /// An unordered point-in-time copy of every stored entry:
-    /// `(fingerprint, key, value, last_used)` rows, one shard at a time —
-    /// what snapshot persistence builds its bounded, sorted row set from.
+    /// `(last_used, key words, value)` rows, one shard at a time — what
+    /// snapshot persistence builds its bounded, sorted row set from.
     #[must_use]
-    pub fn entries(&self) -> Vec<(u64, String, V, u64)> {
+    pub fn entries(&self) -> Vec<(u64, Box<[u64]>, V)> {
         let mut rows = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for entry in &shard.entries {
-                rows.push((
-                    entry.fingerprint,
-                    entry.key.clone(),
-                    entry.value.clone(),
-                    entry.last_used,
-                ));
+                rows.push((entry.last_used, entry.key.clone(), entry.value.clone()));
             }
         }
         rows
@@ -746,19 +769,11 @@ impl ReportCache {
         key_fingerprint(CACHE_KEY_DOMAIN, 0, &canonical_config_string(config))
     }
 
-    /// The memo key of a configuration and its fingerprint: the composite
-    /// stage key under [`Stage::Composite`]'s stage fingerprint.
-    fn memo_key(config: &SimConfig) -> (u64, String) {
-        let key = composite_stage_key(config);
-        (Stage::Composite.fingerprint(&key), key)
-    }
-
     /// Stores a decoded snapshot row under the key recomputed from its
     /// configuration. Returns whether the row was stored.
     fn insert_row(&self, config: SimConfig, report: PlatformReport) -> bool {
-        let (fingerprint, key) = ReportCache::memo_key(&config);
-        self.memo
-            .insert(fingerprint, &key, &CachedReport { config, report })
+        let key = Stage::Composite.key(&config);
+        self.memo.insert(&key, &CachedReport { config, report })
     }
 
     /// Number of stored entries.
@@ -778,8 +793,7 @@ impl ReportCache {
     /// diagnostics.
     #[must_use]
     pub fn contains(&self, config: &SimConfig) -> bool {
-        let (fingerprint, key) = ReportCache::memo_key(config);
-        self.memo.contains_key(fingerprint, &key)
+        self.memo.contains_key(&Stage::Composite.key(config))
     }
 
     /// The current counter values.
@@ -799,9 +813,8 @@ impl ReportCache {
     where
         F: FnOnce() -> Result<PlatformReport>,
     {
-        let (fingerprint, key) = ReportCache::memo_key(config);
         self.memo
-            .get_or_compute(fingerprint, &key, || {
+            .get_or_compute(&Stage::Composite.key(config), || {
                 compute().map(|report| CachedReport {
                     config: config.clone(),
                     report,
@@ -828,21 +841,14 @@ impl ReportCache {
     /// entry, most-recently-used entries winning the truncation to the
     /// capacity bound, the surviving set sorted by memo key so both
     /// snapshot encodings are deterministic for a given surviving set.
-    fn snapshot_rows(&self) -> Vec<(u64, SimConfig, PlatformReport)> {
-        let mut rows: Vec<(u64, String, u64, SimConfig, PlatformReport)> = self
-            .memo
-            .entries()
-            .into_iter()
-            .map(|(fingerprint, key, cached, last_used)| {
-                (last_used, key, fingerprint, cached.config, cached.report)
-            })
-            .collect();
+    fn snapshot_rows(&self) -> Vec<(SimConfig, PlatformReport)> {
+        let mut rows = self.memo.entries();
         // Most recently used first, then truncate to the capacity bound.
         rows.sort_by_key(|row| std::cmp::Reverse(row.0));
         rows.truncate(self.memo.config().capacity);
         rows.sort_by(|a, b| a.1.cmp(&b.1));
         rows.into_iter()
-            .map(|(_, _, fingerprint, config, report)| (fingerprint, config, report))
+            .map(|(_, _, cached)| (cached.config, cached.report))
             .collect()
     }
 
@@ -858,7 +864,7 @@ impl ReportCache {
         write_object(&mut snapshot, |fields| {
             fields.u64("schema_version", CACHE_SCHEMA_VERSION);
             fields.value("entries", |out| {
-                write_array(out, &rows, |out, (_, config, report)| {
+                write_array(out, &rows, |out, (config, report)| {
                     write_object(out, |row| {
                         row.value("config", |out| config_to_json(config, out));
                         row.value("report", |out| report_to_json(report, out));
@@ -939,11 +945,11 @@ impl ReportCache {
                     }
                     let mut section = BinReader::new(body);
                     let written_at = section.take_u64()?;
-                    // The stored fingerprint serves the append-time scan;
-                    // loading recomputes the key from the decoded
-                    // configuration, so a corrupted value can never misfile
-                    // an entry and rows written under an earlier keying
-                    // still load.
+                    // The stored fingerprint is informational: loading (like
+                    // the append-time scan) recomputes the key from the
+                    // decoded configuration, so a corrupted value can never
+                    // misfile an entry and rows written under an earlier
+                    // keying still load.
                     let _stored_fingerprint = section.take_u64()?;
                     let config_length = section.take_u32()? as usize;
                     let config = bincodec::config_from_bin(section.take_bytes(config_length)?)?;
@@ -1006,9 +1012,10 @@ impl ReportCache {
     /// Writes the snapshot to a file in the format selected by
     /// [`SnapshotFormat::from_env`] (binary by default). A binary save onto
     /// an existing current-version binary file appends only the rows whose
-    /// fingerprints the file lacks instead of rewriting everything; any
-    /// other target — missing file, JSON file, older or damaged binary, or
-    /// an append that would exceed the capacity bound — is a full rewrite.
+    /// memo keys the file lacks instead of rewriting everything; any other
+    /// target — missing file, JSON file, older or damaged binary, a file
+    /// holding one key twice, or an append that would exceed the capacity
+    /// bound — is a full rewrite.
     /// Returns the number of rows the file holds after the save (at most
     /// the configured capacity on a rewrite).
     ///
@@ -1033,20 +1040,15 @@ impl ReportCache {
     fn save_binary(&self, path: &Path) -> Result<usize> {
         let written_at = now_unix();
         let rows = self.snapshot_rows();
-        if let Some(existing) = existing_binary_fingerprints(path) {
-            let fresh: Vec<&(u64, SimConfig, PlatformReport)> = rows
+        if let Some(existing) = existing_binary_keys(path) {
+            let fresh: Vec<&(SimConfig, PlatformReport)> = rows
                 .iter()
-                .filter(|(fingerprint, _, _)| !existing.contains(fingerprint))
+                .filter(|(config, _)| !existing.contains(Stage::Composite.key(config).words()))
                 .collect();
             if existing.len() + fresh.len() <= self.memo.config().capacity {
                 let mut appended = Vec::new();
-                for (fingerprint, config, report) in fresh.iter().copied() {
-                    appended.extend_from_slice(&snapshot_row_section(
-                        written_at,
-                        *fingerprint,
-                        config,
-                        report,
-                    ));
+                for (config, report) in &fresh {
+                    appended.extend_from_slice(&entry_row_section(written_at, config, report));
                 }
                 let mut file = std::fs::OpenOptions::new()
                     .append(true)
@@ -1298,5 +1300,64 @@ mod tests {
             Err(SimError::Persistence { .. })
         ));
         assert!(target.is_empty());
+    }
+
+    /// Every configuration stored in a binary snapshot file, in row order.
+    fn configs_in_binary_file(path: &Path) -> Vec<SimConfig> {
+        let bytes = std::fs::read(path).unwrap();
+        let payload = bincodec::document_payload(&bytes, bincodec::DOC_SNAPSHOT).unwrap();
+        let mut reader = BinReader::new(payload);
+        let mut configs = Vec::new();
+        while let Some((tag, body)) = reader.next_section().unwrap() {
+            if tag == TAG_SNAPSHOT_ROW {
+                let mut row = BinReader::new(body);
+                row.take_u64().unwrap();
+                row.take_u64().unwrap();
+                let length = row.take_u32().unwrap() as usize;
+                configs.push(bincodec::config_from_bin(row.take_bytes(length).unwrap()).unwrap());
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn appending_save_does_not_duplicate_rows_written_under_another_keying() {
+        let path =
+            std::env::temp_dir().join(format!("mspt-cache-foreign-{}.bin", std::process::id()));
+        let cache = ReportCache::new(CacheConfig::unsharded(8));
+        for length in [6, 8, 10] {
+            let config = config(length);
+            cache.get_or_compute(&config, || evaluate(&config)).unwrap();
+        }
+        // The same rows, but with fingerprints no keying produces: 0..n.
+        let mut payload = BinWriter::new();
+        let mut header = BinWriter::new();
+        header.put_u64(CACHE_SCHEMA_VERSION);
+        payload.section(TAG_SNAPSHOT_HEADER, &header.into_bytes());
+        for (index, (config, report)) in cache.snapshot_rows().iter().enumerate() {
+            payload.put_bytes(&snapshot_row_section(
+                now_unix(),
+                index as u64,
+                config,
+                report,
+            ));
+        }
+        let document = bincodec::document(bincodec::DOC_SNAPSHOT, &payload.into_bytes());
+        std::fs::write(&path, document).unwrap();
+
+        let loaded = ReportCache::new(CacheConfig::unsharded(8));
+        assert_eq!(loaded.load_from_path(&path).unwrap(), 3);
+        let saved = loaded.save_binary(&path).unwrap();
+        let configs = configs_in_binary_file(&path);
+        let _ = std::fs::remove_file(&path);
+        for (index, config) in configs.iter().enumerate() {
+            assert!(
+                !configs[index + 1..].contains(config),
+                "a row was appended twice: {} rows in the file",
+                configs.len()
+            );
+        }
+        assert_eq!(configs.len(), 3);
+        assert_eq!(saved, 3);
     }
 }

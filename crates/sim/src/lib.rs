@@ -97,7 +97,7 @@ pub use stats::{inverse_normal_cdf, wilson_bounds, wilson_half_width, z_for_conf
 pub use crossbar_array::chunk_seed;
 pub use platform::{PlatformReport, SimulationPlatform};
 pub use report::{Fig5Report, Fig6Report, Fig7Report, Fig8Report};
-pub use stage::{ConfigField, Stage, StageCache, StageStats};
+pub use stage::{ConfigField, Stage, StageCache, StageKey, StageStats};
 pub use sweep::{
     variability_map, BitAreaPoint, ComplexityPoint, DefectYieldPoint, VariabilityMap, YieldPoint,
 };

@@ -21,14 +21,19 @@
 //! `MonteCarlo` stage — every other stage is a cache hit, with its own
 //! hit/miss/eviction counters.
 //!
-//! # Fingerprint rules
+//! # Key rules
 //!
-//! Every stage has a hand-written `*_stage_key` function that formats
-//! **exactly** the accessors its [`Stage::reads`] entry declares (the
-//! `stage-fingerprint` lint in `mspt-analyze` machine-checks this), and a
-//! fingerprint `key_fingerprint(STAGE_KEY_DOMAIN, stage_index, key)` — the
-//! FNV-1a + [`chunk_seed`](crossbar_array::chunk_seed) discipline, under its
-//! own domain tag so stage keys never collide with sampling seeds.
+//! A stage's memo key is built from its [`Stage::reads`] entry and nothing
+//! else: [`Stage::key`] writes the stage's tag word, then asks each field
+//! of the read set to append its exact words ([`ConfigField::write`]). A
+//! key therefore follows its declared read set by construction. Each field
+//! is a fixed number of `u64` words: `f64::to_bits`, integers widened to
+//! `u64`, and enum and `Option` tags, so the encoding is injective across
+//! field boundaries. The fingerprint ([`StageKey::fingerprint`]) is a
+//! word-at-a-time fold of the key, finalized through [`chunk_seed`] under
+//! its own domain tag at the stage's index, so stage keys never collide
+//! with sampling seeds. A memo slot stores the words and compares them in
+//! full on every hit.
 //!
 //! [`StageCache`] holds one [`MemoCache`] slot per stage, each with the
 //! same per-shard LRU bounds, single-flight semantics and counters. The
@@ -36,18 +41,21 @@
 //! persistence — the only memo layer between a request and the pipeline.
 
 use crossbar_array::{
-    AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectTally,
+    chunk_seed, AddressabilityProfile, CaveYield, ContactGroupLayout, CrossbarArea, DefectTally,
 };
 use mspt_fabrication::{FabricationCost, VariabilityMatrix};
 
-use crate::cache::{key_fingerprint, CacheConfig, CacheStats, MemoCache, ReportCache};
+use crate::bincodec::code_kind_tag;
+use crate::cache::{CacheConfig, CacheStats, MemoCache, ReportCache};
 use crate::config::SimConfig;
+use crate::defect::DefectKind;
+use crate::disturbance::DisturbanceKind;
 use crate::error::Result;
 use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
 use crate::platform::PlatformReport;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
-/// [`chunk_seed`](crossbar_array::chunk_seed) finalizer. Keeps the stage
+/// [`chunk_seed`] finalizer. Keeps the stage
 /// memo keys decorrelated from [`ReportCache::fingerprint`] and from every
 /// sampling seed domain.
 const STAGE_KEY_DOMAIN: u64 = 0x57a6_e1fd_9b3c_5a21;
@@ -100,25 +108,146 @@ impl ConfigField {
         ConfigField::MonteCarlo,
     ];
 
-    /// The name of the [`SimConfig`] accessor the field corresponds to —
-    /// the method name the `stage-fingerprint` lint matches key functions
-    /// against.
-    #[must_use]
-    pub fn accessor(self) -> &'static str {
+    /// Appends the field's words for `config` to `key`: a fixed number of
+    /// words per field, with `f64`s as their exact bits and every enum and
+    /// `Option` as a tag word followed by its (zero-padded) payload.
+    pub(crate) fn write(self, config: &SimConfig, key: &mut StageKey) {
         match self {
-            ConfigField::Code => "code",
-            ConfigField::NanowiresPerHalfCave => "nanowires_per_half_cave",
-            ConfigField::RawBits => "raw_bits",
-            ConfigField::Layout => "layout",
-            ConfigField::ThresholdModel => "threshold_model",
-            ConfigField::SigmaPerDose => "sigma_per_dose",
-            ConfigField::SupplyRange => "supply_range",
-            ConfigField::WindowOverride => "window_override",
-            ConfigField::CodeBudgets => "code_budgets",
-            ConfigField::Disturbance => "disturbance",
-            ConfigField::Defects => "defects",
-            ConfigField::MonteCarlo => "monte_carlo",
+            ConfigField::Code => {
+                let code = config.code();
+                key.push(u64::from(code_kind_tag(code.kind())));
+                key.push(u64::from(code.radix().radix()));
+                key.push(code.code_length() as u64);
+            }
+            ConfigField::NanowiresPerHalfCave => key.push(config.nanowires_per_half_cave() as u64),
+            ConfigField::RawBits => key.push(config.raw_bits()),
+            ConfigField::Layout => {
+                let layout = config.layout();
+                key.push_f64(layout.litho_pitch().value());
+                key.push_f64(layout.nanowire_pitch().value());
+                key.push_f64(layout.min_contact_width_factor());
+                key.push_f64(layout.contact_alignment_tolerance().value());
+            }
+            ConfigField::ThresholdModel => {
+                let threshold = config.threshold_model();
+                key.push_f64(threshold.oxide_thickness().value());
+                key.push_f64(threshold.flat_band_voltage().value());
+            }
+            ConfigField::SigmaPerDose => key.push_f64(config.sigma_per_dose().value()),
+            ConfigField::SupplyRange => {
+                let (low, high) = config.supply_range();
+                key.push_f64(low.value());
+                key.push_f64(high.value());
+            }
+            ConfigField::WindowOverride => {
+                key.push_option(
+                    config
+                        .window_override()
+                        .map(|window| window.value().to_bits()),
+                );
+            }
+            ConfigField::CodeBudgets => {
+                let budgets = config.code_budgets();
+                key.push(budgets.balance.max_nodes_per_limit);
+                key.push(budgets.balance.max_limit_slack as u64);
+                key.push(budgets.arranged_hot.max_nodes);
+                key.push(budgets.arranged_hot.fallback.max_nodes);
+                key.push(u64::from(budgets.arranged_hot.fallback.max_two_opt_sweeps));
+            }
+            ConfigField::Disturbance => match config.disturbance() {
+                DisturbanceKind::Gaussian => key.push_words(&[0, 0]),
+                DisturbanceKind::Laplace => key.push_words(&[1, 0]),
+                DisturbanceKind::Correlated { shared_fraction } => {
+                    key.push_words(&[2, shared_fraction.to_bits()]);
+                }
+            },
+            ConfigField::Defects => match config.defects() {
+                DefectKind::None => key.push_words(&[0, 0, 0, 0]),
+                DefectKind::Sampled(defects) => key.push_words(&[
+                    1,
+                    defects.nanowire_breakage().to_bits(),
+                    defects.crosspoint_defect().to_bits(),
+                    defects.seed(),
+                ]),
+            },
+            ConfigField::MonteCarlo => key.push_monte_carlo(config.monte_carlo()),
         }
+    }
+}
+
+/// The most words a [`StageKey`] holds: the Monte-Carlo slot's key (its
+/// tag, nine fields and the appended sampling parameters and chunk size).
+const KEY_WORDS: usize = 34;
+
+/// The exact memo key of one stage for one configuration: the stage's tag
+/// word followed by the words of every field in its read set. Lives on the
+/// stack, so building and looking up a key allocates nothing; a memo slot
+/// copies the words out only when it stores a new entry. Words past `len`
+/// stay zero, so the derived equality compares exactly the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StageKey {
+    len: usize,
+    words: [u64; KEY_WORDS],
+}
+
+impl StageKey {
+    fn new(stage: Stage) -> Self {
+        let mut key = StageKey {
+            len: 0,
+            words: [0; KEY_WORDS],
+        };
+        key.push(stage.index());
+        key
+    }
+
+    fn push(&mut self, word: u64) {
+        self.words[self.len] = word;
+        self.len += 1;
+    }
+
+    fn push_words(&mut self, words: &[u64]) {
+        for &word in words {
+            self.push(word);
+        }
+    }
+
+    fn push_f64(&mut self, value: f64) {
+        self.push(value.to_bits());
+    }
+
+    fn push_option(&mut self, value: Option<u64>) {
+        match value {
+            Some(value) => self.push_words(&[1, value]),
+            None => self.push_words(&[0, 0]),
+        }
+    }
+
+    /// The words of a Monte-Carlo configuration: samples, seed, target
+    /// half-width, confidence and sample cap.
+    fn push_monte_carlo(&mut self, mc: MonteCarloConfig) {
+        self.push(mc.samples as u64);
+        self.push(mc.seed);
+        self.push_option(mc.target_half_width.map(f64::to_bits));
+        self.push_f64(mc.confidence);
+        self.push_option(mc.max_samples.map(|max| max as u64));
+    }
+
+    /// The key's words: the stage tag, then each read field's words.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words[..self.len]
+    }
+
+    /// The memo fingerprint of the key: a word-at-a-time multiply-rotate
+    /// fold of its words, finalized through the workspace-wide
+    /// `chunk_seed` under `STAGE_KEY_DOMAIN` at the stage's index (the tag
+    /// word).
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let hash = self.words().iter().fold(0u64, |hash, &word| {
+            (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        chunk_seed(hash ^ STAGE_KEY_DOMAIN, self.words[0])
     }
 }
 
@@ -200,7 +329,7 @@ impl Stage {
     }
 
     /// The [`SimConfig`] fields the stage (transitively) reads — exactly
-    /// the fields its `*_stage_key` function formats, so a configuration
+    /// the fields its [`Stage::key`] is built from, so a configuration
     /// change re-runs the stage iff it touches one of these.
     #[must_use]
     pub fn reads(self) -> &'static [ConfigField] {
@@ -275,9 +404,8 @@ impl Stage {
         }
     }
 
-    /// The position of the stage in [`Stage::ALL`] — the fingerprint stream
-    /// index, so two stages with an identical key string still fingerprint
-    /// differently.
+    /// The position of the stage in [`Stage::ALL`] — a key's tag word and
+    /// its fingerprint stream index.
     fn index(self) -> u64 {
         Stage::ALL
             .iter()
@@ -285,137 +413,18 @@ impl Stage {
             .expect("every stage appears in ALL") as u64
     }
 
-    /// The canonical memo key of the stage for a configuration: the
-    /// stage's `*_stage_key` rendering of exactly its declared read set.
+    /// The memo key of the stage for a configuration: the stage's tag
+    /// word, then the words of each field in [`Stage::reads`], in order.
     /// ([`Stage::MonteCarlo`] keys carry additional sampling parameters —
-    /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache, not
-    /// by the key function.)
+    /// see [`StageCache`]'s Monte-Carlo slot — appended by the cache.)
     #[must_use]
-    pub fn key(self, config: &SimConfig) -> String {
-        match self {
-            Stage::Variability => variability_stage_key(config),
-            Stage::Addressability => addressability_stage_key(config),
-            Stage::ContactLayout => contact_layout_stage_key(config),
-            Stage::CaveYield => cave_yield_stage_key(config),
-            Stage::CrossbarArea => crossbar_area_stage_key(config),
-            Stage::DefectMap => defect_map_stage_key(config),
-            Stage::Composite => composite_stage_key(config),
-            Stage::MonteCarlo => monte_carlo_stage_key(config),
+    pub fn key(self, config: &SimConfig) -> StageKey {
+        let mut key = StageKey::new(self);
+        for field in self.reads() {
+            field.write(config, &mut key);
         }
+        key
     }
-
-    /// The memo fingerprint of a canonical stage key: FNV-1a over the key,
-    /// finalized through the workspace-wide `chunk_seed` under
-    /// `STAGE_KEY_DOMAIN` at the stage's index.
-    #[must_use]
-    pub fn fingerprint(self, key: &str) -> u64 {
-        key_fingerprint(STAGE_KEY_DOMAIN, self.index(), key)
-    }
-}
-
-// The `*_stage_key` functions below are the machine-checked half of the
-// stage graph: each formats exactly the accessors its `Stage::reads` entry
-// declares, via `Debug` (injective for every field type — f64 renders
-// shortest-roundtrip). The `stage-fingerprint` lint in mspt-analyze keeps
-// the calls and the declared read sets from drifting apart.
-
-pub(crate) fn variability_stage_key(config: &SimConfig) -> String {
-    format!(
-        "variability;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-    )
-}
-
-pub(crate) fn addressability_stage_key(config: &SimConfig) -> String {
-    format!(
-        "addressability;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-    )
-}
-
-pub(crate) fn contact_layout_stage_key(config: &SimConfig) -> String {
-    format!(
-        "contact-layout;code={:?};nanowires={:?};layout={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.layout(),
-    )
-}
-
-pub(crate) fn cave_yield_stage_key(config: &SimConfig) -> String {
-    format!(
-        "cave-yield;code={:?};nanowires={:?};layout={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.layout(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-    )
-}
-
-pub(crate) fn crossbar_area_stage_key(config: &SimConfig) -> String {
-    format!(
-        "crossbar-area;code={:?};nanowires={:?};raw={:?};layout={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-    )
-}
-
-pub(crate) fn defect_map_stage_key(config: &SimConfig) -> String {
-    format!(
-        "defect-map;nanowires={:?};raw={:?};layout={:?};defects={:?}",
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-        config.defects(),
-    )
-}
-
-pub(crate) fn composite_stage_key(config: &SimConfig) -> String {
-    format!(
-        "composite;code={:?};nanowires={:?};raw={:?};layout={:?};threshold={:?};sigma={:?};supply={:?};window={:?};budgets={:?};defects={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.raw_bits(),
-        config.layout(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.window_override(),
-        config.code_budgets(),
-        config.defects(),
-    )
-}
-
-pub(crate) fn monte_carlo_stage_key(config: &SimConfig) -> String {
-    format!(
-        "monte-carlo;code={:?};nanowires={:?};threshold={:?};sigma={:?};supply={:?};budgets={:?};window={:?};disturbance={:?};mc={:?}",
-        config.code(),
-        config.nanowires_per_half_cave(),
-        config.threshold_model(),
-        config.sigma_per_dose(),
-        config.supply_range(),
-        config.code_budgets(),
-        config.window_override(),
-        config.disturbance(),
-        config.monte_carlo(),
-    )
 }
 
 /// The memoized product of the [`Stage::Variability`] stage: the
@@ -542,9 +551,8 @@ impl StageCache {
     where
         F: FnOnce() -> Result<VariabilityStage>,
     {
-        let key = variability_stage_key(config);
         self.variability
-            .get_or_compute(Stage::Variability.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::Variability.key(config), compute)
     }
 
     pub(crate) fn addressability<F>(
@@ -555,9 +563,8 @@ impl StageCache {
     where
         F: FnOnce() -> Result<AddressabilityProfile>,
     {
-        let key = addressability_stage_key(config);
         self.addressability
-            .get_or_compute(Stage::Addressability.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::Addressability.key(config), compute)
     }
 
     pub(crate) fn contact_layout<F>(
@@ -568,27 +575,24 @@ impl StageCache {
     where
         F: FnOnce() -> Result<ContactGroupLayout>,
     {
-        let key = contact_layout_stage_key(config);
         self.contact_layout
-            .get_or_compute(Stage::ContactLayout.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::ContactLayout.key(config), compute)
     }
 
     pub(crate) fn cave_yield<F>(&self, config: &SimConfig, compute: F) -> Result<CaveYield>
     where
         F: FnOnce() -> Result<CaveYield>,
     {
-        let key = cave_yield_stage_key(config);
         self.cave_yield
-            .get_or_compute(Stage::CaveYield.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::CaveYield.key(config), compute)
     }
 
     pub(crate) fn crossbar_area<F>(&self, config: &SimConfig, compute: F) -> Result<CrossbarArea>
     where
         F: FnOnce() -> Result<CrossbarArea>,
     {
-        let key = crossbar_area_stage_key(config);
         self.crossbar_area
-            .get_or_compute(Stage::CrossbarArea.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::CrossbarArea.key(config), compute)
     }
 
     /// The defect-map slot keeps only what [`Stage::Composite`] reads of a
@@ -602,9 +606,8 @@ impl StageCache {
     where
         F: FnOnce() -> Result<Option<DefectTally>>,
     {
-        let key = defect_map_stage_key(config);
         self.defect_map
-            .get_or_compute(Stage::DefectMap.fingerprint(&key), &key, compute)
+            .get_or_compute(&Stage::DefectMap.key(config), compute)
     }
 
     pub(crate) fn composite<F>(&self, config: &SimConfig, compute: F) -> Result<PlatformReport>
@@ -629,26 +632,16 @@ impl StageCache {
     where
         F: FnOnce() -> Result<MonteCarloOutcome>,
     {
-        let key = format!(
-            "{};samples={};seed={};chunk={};target={:?};confidence={:?};max={:?}",
-            monte_carlo_stage_key(config),
-            mc.samples,
-            mc.seed,
-            chunk_size,
-            mc.target_half_width,
-            mc.confidence,
-            mc.max_samples,
-        );
-        self.monte_carlo
-            .get_or_compute(Stage::MonteCarlo.fingerprint(&key), &key, compute)
+        let mut key = Stage::MonteCarlo.key(config);
+        key.push_monte_carlo(mc);
+        key.push(chunk_size as u64);
+        self.monte_carlo.get_or_compute(&key, compute)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defect::DefectKind;
-    use crate::disturbance::DisturbanceKind;
     use crossbar_array::LayoutRules;
     use device_physics::{Nanometers, ThresholdModel, Volts};
     use nanowire_codes::{
@@ -756,21 +749,160 @@ mod tests {
     #[test]
     fn stage_fingerprints_are_domain_and_index_separated() {
         let config = base();
-        // Identical key strings under different stages never collide.
-        let key = "same-key";
+        // The stages of one configuration never share a fingerprint...
         let mut fingerprints: Vec<u64> = Stage::ALL
             .iter()
-            .map(|stage| stage.fingerprint(key))
+            .map(|stage| stage.key(&config).fingerprint())
             .collect();
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), Stage::ALL.len());
-        // And a stage fingerprint never equals the full-config fingerprint
-        // of the same configuration (different domain tags).
+        // ...and never equal the full-config fingerprint of the same
+        // configuration (different domain tags).
         let report = crate::cache::ReportCache::fingerprint(&config);
         for stage in Stage::ALL {
-            assert_ne!(stage.fingerprint(&stage.key(&config)), report);
+            assert_ne!(stage.key(&config).fingerprint(), report);
         }
+    }
+
+    /// The words `field` writes for `config`, without a stage tag.
+    fn field_words(field: ConfigField, config: &SimConfig) -> Vec<u64> {
+        let mut key = StageKey::new(Stage::Composite);
+        field.write(config, &mut key);
+        key.words()[1..].to_vec()
+    }
+
+    #[test]
+    fn varying_one_field_changes_its_words_and_no_others() {
+        let base = base();
+        for field in ConfigField::ALL {
+            let varied = varied(field);
+            for other in ConfigField::ALL {
+                let (before, after) = (field_words(other, &base), field_words(other, &varied));
+                assert_eq!(
+                    before.len(),
+                    after.len(),
+                    "{other:?} is not fixed-width under varied({field:?})"
+                );
+                assert_eq!(
+                    before != after,
+                    other == field,
+                    "varied({field:?}) moved the words of {other:?}: {before:?} -> {after:?}"
+                );
+            }
+        }
+    }
+
+    /// Asserts that `configs` are pairwise distinguished by `field`'s words
+    /// and by the key of every stage that reads `field`.
+    fn assert_separated(field: ConfigField, configs: &[SimConfig]) {
+        for (index, a) in configs.iter().enumerate() {
+            for b in &configs[index + 1..] {
+                assert_ne!(
+                    field_words(field, a),
+                    field_words(field, b),
+                    "{field:?} words collide"
+                );
+                for stage in Stage::ALL {
+                    if stage.reads().contains(&field) {
+                        assert_ne!(stage.key(a), stage.key(b), "{stage:?} keys collide");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tags_separate_variants_and_options() {
+        let base = base();
+        assert_separated(
+            ConfigField::WindowOverride,
+            &[
+                base.clone(),
+                base.clone().with_window(Volts::new(0.0)),
+                base.clone().with_window(Volts::new(-0.0)),
+            ],
+        );
+        assert_separated(
+            ConfigField::Disturbance,
+            &[
+                base.clone(),
+                base.clone().with_disturbance(DisturbanceKind::Laplace),
+                base.clone().with_disturbance(DisturbanceKind::Correlated {
+                    shared_fraction: 0.0,
+                }),
+                base.clone().with_disturbance(DisturbanceKind::Correlated {
+                    shared_fraction: 1.0,
+                }),
+            ],
+        );
+        assert_separated(
+            ConfigField::Defects,
+            &[
+                base.clone(),
+                base.clone()
+                    .with_defects(DefectKind::sampled(0.0, 0.0, 0).unwrap()),
+            ],
+        );
+        let fixed = MonteCarloConfig::fixed(100, 1);
+        assert_separated(
+            ConfigField::MonteCarlo,
+            &[
+                base.clone().with_monte_carlo(fixed),
+                base.clone()
+                    .with_monte_carlo(fixed.with_target_half_width(f64::MIN_POSITIVE)),
+                base.clone()
+                    .with_monte_carlo(fixed.with_target_half_width(0.05)),
+                base.clone().with_monte_carlo(fixed.with_max_samples(1)),
+                base.clone().with_monte_carlo(fixed.with_max_samples(100)),
+            ],
+        );
+    }
+
+    #[test]
+    fn equal_configs_built_different_ways_share_keys() {
+        let defects = DefectKind::sampled(0.02, 0.01, 2_009).unwrap();
+        let correlated = DisturbanceKind::Correlated {
+            shared_fraction: 0.5,
+        };
+        let adaptive = MonteCarloConfig::fixed(400, 7)
+            .with_target_half_width(0.05)
+            .with_max_samples(2_000);
+        let built = base()
+            .with_window(Volts::new(0.2))
+            .with_defects(defects)
+            .with_disturbance(correlated)
+            .with_monte_carlo(adaptive);
+        let base = base();
+        let rebuilt = rebuild(&base, base.raw_bits(), *base.layout(), None, None)
+            .with_monte_carlo(adaptive)
+            .with_disturbance(correlated)
+            .with_defects(defects)
+            .with_window(Volts::from_millivolts(200.0));
+        let json = crate::codec::render(|out| crate::codec::config_to_json(&built, out));
+        let from_json =
+            crate::codec::config_from_json(crate::codec::JsonTape::parse(&json).unwrap().root())
+                .unwrap();
+        let from_bin =
+            crate::bincodec::config_from_bin(&crate::bincodec::config_to_bin(&built)).unwrap();
+        for other in [&rebuilt, &from_json, &from_bin] {
+            assert_eq!(&built, other);
+            for stage in Stage::ALL {
+                assert_eq!(stage.key(&built), stage.key(other), "{stage:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_stage_key_fits_the_inline_words() {
+        let mut widest = 0;
+        for stage in Stage::ALL {
+            widest = widest.max(stage.key(&base()).words().len());
+        }
+        // The Monte-Carlo slot appends the sampling parameters (7 words)
+        // and the chunk size to its stage key.
+        let monte_carlo = Stage::MonteCarlo.key(&base()).words().len() + 8;
+        assert_eq!(widest.max(monte_carlo), KEY_WORDS);
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Edge-case coverage for the sharded, bounded, single-flight report cache:
 //! degenerate capacities, LRU eviction order under interleaved hits,
 //! single-flight under contention, persistence round-trips and schema
-//! versioning (in both snapshot codecs), and defect-selection keying.
+//! versioning (in both snapshot codecs), snapshots written under the
+//! earlier string keys, and defect-selection keying.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
 
+use decoder_sim::bincodec::report_to_bin;
 use decoder_sim::{
-    CacheConfig, DefectKind, ReportCache, SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
+    CacheConfig, DefectKind, DisturbanceKind, EngineConfig, ExecutionEngine, ReportCache,
+    SimConfig, SimulationPlatform, CACHE_SCHEMA_VERSION,
 };
 use nanowire_codes::{CodeKind, CodeSpec, LogicLevel};
 
@@ -373,4 +377,59 @@ fn loading_respects_the_capacity_bound() {
     let disabled = ReportCache::new(CacheConfig::unsharded(0));
     assert_eq!(disabled.load_snapshot(&snapshot).unwrap(), 0);
     assert!(disabled.is_empty());
+}
+
+/// The configurations of the `legacy_snapshot.{bin,json}` fixtures: a
+/// window override, a sampled-defect configuration, and one configuration
+/// per disturbance kind (the disturbance is not part of a report's key, so
+/// each also differs in its code).
+fn legacy_fixture_configs() -> Vec<SimConfig> {
+    vec![
+        config(CodeKind::Tree, 8).with_window(device_physics::Volts::new(0.2)),
+        defective(config(CodeKind::Gray, 8), 2_009).with_disturbance(DisturbanceKind::Laplace),
+        config(CodeKind::Hot, 6).with_disturbance(DisturbanceKind::Correlated {
+            shared_fraction: 0.5,
+        }),
+    ]
+}
+
+/// The fixtures were written by the cache when its keys were `Debug`
+/// strings and its row fingerprints FNV hashes of them. Loaded today, every
+/// row must serve warm — one composite hit per configuration, no miss — a
+/// report bit-identical to a cold serial evaluation, and an appending save
+/// onto the binary file must recognise every row it already holds.
+#[test]
+fn snapshots_written_under_string_keys_load_warm() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let configs = legacy_fixture_configs();
+    for name in ["legacy_snapshot.bin", "legacy_snapshot.json"] {
+        let engine = ExecutionEngine::with_cache(EngineConfig::serial(), CacheConfig::unsharded(8));
+        assert_eq!(
+            engine.load_cache(&fixtures.join(name)).unwrap(),
+            configs.len(),
+            "{name}"
+        );
+        for config in &configs {
+            let warm = engine.report_for(config).unwrap();
+            let cold = evaluate(config).unwrap();
+            assert_eq!(report_to_bin(&warm), report_to_bin(&cold), "{name}");
+        }
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (configs.len() as u64, 0),
+            "{name}"
+        );
+    }
+
+    let copy = std::env::temp_dir().join(format!("mspt-legacy-{}.bin", std::process::id()));
+    std::fs::copy(fixtures.join("legacy_snapshot.bin"), &copy).unwrap();
+    let engine = ExecutionEngine::with_cache(EngineConfig::serial(), CacheConfig::unsharded(8));
+    engine.load_cache(&copy).unwrap();
+    let saved = engine.save_cache(&copy);
+    let restored = ReportCache::new(CacheConfig::unsharded(8));
+    let reloaded = restored.load_from_path(&copy);
+    let _ = std::fs::remove_file(&copy);
+    assert_eq!(saved.unwrap(), configs.len());
+    assert_eq!(reloaded.unwrap(), configs.len());
 }
