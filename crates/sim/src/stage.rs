@@ -55,9 +55,8 @@ use crate::monte_carlo::{MonteCarloConfig, MonteCarloOutcome};
 use crate::platform::PlatformReport;
 
 /// Domain-separation tag mixed into stage-key fingerprints before the
-/// [`chunk_seed`] finalizer. Keeps the stage
-/// memo keys decorrelated from [`ReportCache::fingerprint`] and from every
-/// sampling seed domain.
+/// [`chunk_seed`] finalizer. Keeps the stage memo keys decorrelated from
+/// [`ReportCache::fingerprint`] and from every sampling seed domain.
 const STAGE_KEY_DOMAIN: u64 = 0x57a6_e1fd_9b3c_5a21;
 
 /// The [`SimConfig`] fields a stage can declare in its read set — one
